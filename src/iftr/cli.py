@@ -28,7 +28,15 @@ from .fitting import (
     load_empirical_cdf,
 )
 from .laplace import LaplaceInversionConfig
-from .linkperf import ber_asymptotic, ber_exact, ber_mgf_quadrature, ber_monte_carlo, outage, outage_asymptotic
+from .linkperf import (
+    _integer_shape_order,
+    ber_asymptotic,
+    ber_exact,
+    ber_mgf_quadrature,
+    ber_monte_carlo,
+    outage,
+    outage_asymptotic,
+)
 from .params import IftrParams, ModulationSpec, ValidationError, params_from_json
 from .sim import SimConfig, provenance_dict, sample_ftr, sample_iftr, sample_rice, sample_rician_shadowed, sample_twdp, write_samples
 from .specfun import ConvergenceError
@@ -247,13 +255,11 @@ def cmd_ber(args) -> int:
         _write_csv(args, header, rows, "ber")
         return EXIT_OK
     base = _params_from_args(args)
-    integer_shape = any(
-        math.isfinite(m) and abs(m - round(m)) < 1e-9 for m in (base.m1, base.m2)
-    )
+    route = ber_exact if _integer_shape_order(base) is not None else ber_mgf_quadrature
     rows = []
     for d in db:
         p = base.with_mean_snr(10.0 ** (d / 10.0))
-        exact = (ber_exact(p, mod) if integer_shape else ber_mgf_quadrature(p, mod)).value
+        exact = route(p, mod).value
         asym = ber_asymptotic(p, mod).value
         fields = [_fmt(d), _fmt(exact), _fmt(asym)]
         if args.monte_carlo:

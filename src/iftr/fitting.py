@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .laplace import LaplaceInversionConfig, clamp_counts, euler_contour
 from .params import IftrParams, ValidationError
@@ -242,6 +241,8 @@ def _objective(evaluator: _CdfEvaluator, emp: EmpiricalCdf, make_params):
 
 
 def _run_family(emp, evaluator, family, cfg: FitConfig, rng) -> FitResult:
+    from scipy.optimize import minimize  # deferred: only fits need the optimizer
+
     names, boxes, make = _family_spec(family, cfg.fit_scale, cfg.bounds)
     fun = _objective(evaluator, emp, make)
     starts = [0.5 * (boxes[:, 0] + boxes[:, 1])]
@@ -276,6 +277,8 @@ def _run_family(emp, evaluator, family, cfg: FitConfig, rng) -> FitResult:
 
 
 def _run_integer_m1(emp, evaluator, cfg: FitConfig, rng) -> FitResult:
+    from scipy.optimize import minimize  # deferred: only fits need the optimizer
+
     best = None
     per_m1 = []
     for m1 in cfg.m1_grid:

@@ -24,13 +24,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln, logsumexp
 
 from .params import IftrParams, ModulationSpec, ValidationError
 from .sim import SimConfig, sample_iftr
 from .stats import cdf, cdf_asymptotic_slope, mgf
-from .specfun import lauricella_fd3_ln
+from .specfun import _theta_errors, lauricella_fd3_ln, theta_quadrature_ln
 
 __all__ = [
     "BerResult",
@@ -77,15 +76,19 @@ def ber_exact(p: IftrParams, mod: ModulationSpec) -> BerResult:
     """Closed-form average error rate (integer-shape Lauricella route).
 
     Either shape may be the integer one (the labeling symmetry covers the
-    second case).  When neither is a positive integer the closed form does
-    not exist and the call transparently falls back to the quadrature
-    route, with a warning and the method tag showing what ran.
+    second case).  The closed form is a sum of one Lauricella term per
+    integer of the shape, so it is used up to a shape of
+    ``_MAX_EXACT_SUM_TERMS``; otherwise the call transparently falls back
+    to the quadrature route, with a warning and the method tag showing
+    what ran.  ``est_error`` combines the theta engine's estimates of the
+    Lauricella terms.
     """
     order = _integer_shape_order(p)
     if order is None:
         warnings.warn(
-            "no positive-integer fluctuation shape: exact closed form "
-            "unavailable, using MGF quadrature",
+            "exact closed form needs a positive-integer fluctuation shape of at "
+            f"most {_MAX_EXACT_SUM_TERMS} (one Lauricella term per unit of shape): "
+            "using MGF quadrature",
             UserWarning,
             stacklevel=2,
         )
@@ -102,66 +105,66 @@ def ber_exact(p: IftrParams, mod: ModulationSpec) -> BerResult:
             mA * mB * (1.0 + k) / (a2 * gbar),
         ]
     )
-    fd_rtol = 1e-10
-    n_terms = 1 if (k == 0.0 or p.delta == 0.0) else m_int
-    term_logs = []
-    term_signs = []
-    for n in range(n_terms):
-        log_coeff = (
-            math.log1p(k)
-            - math.log(gbar)
-            + mA * math.log(mA)
-            + mB * math.log(mB)
-            + (mB - mA) * math.log(aA)
-            - gammaln(n + 1)
-            + gammaln(mA)
-            - gammaln(n + 1)
-            - gammaln(mA - n)
-            + gammaln(mB + n)
-            - gammaln(mB)
-            - (mB + n) * math.log(a2)
-        )
-        if n > 0:
-            log_coeff += 2.0 * n * math.log(0.5 * k * p.delta)
-        b = (n + 1.0 - mA, mA - mB, mB + n)
-        for alpha, beta in mod.terms:
-            if alpha == 0.0:
-                continue
-            args = tuple(-2.0 * l / beta for l in lam)
-            log_fd = lauricella_fd3_ln(1.5, b[0], b[1], b[2], 2.0, *args, rtol=fd_rtol)
-            term_logs.append(log_coeff + math.log(abs(alpha) / (2.0 * beta)) + log_fd)
-            term_signs.append(math.copysign(1.0, alpha))
-    log_total, sign = logsumexp(term_logs, b=term_signs, return_sign=True)
+    n = np.arange(1 if (k == 0.0 or p.delta == 0.0) else m_int)
+    log_coeff = (
+        math.log1p(k)
+        - math.log(gbar)
+        + mA * math.log(mA)
+        + mB * math.log(mB)
+        + (mB - mA) * math.log(aA)
+        - gammaln(n + 1)
+        + gammaln(mA)
+        - gammaln(n + 1)
+        - gammaln(mA - n)
+        + gammaln(mB + n)
+        - gammaln(mB)
+        - (mB + n) * math.log(a2)
+    )
+    if n.size > 1:
+        log_coeff += 2.0 * n * math.log(0.5 * k * p.delta)
+    terms = [(alpha, beta) for alpha, beta in mod.terms if alpha != 0.0]
+    term_logs = np.empty((len(terms), n.size))
+    term_errs = np.empty_like(term_logs)
+    for r, (alpha, beta) in enumerate(terms):
+        with _theta_errors() as errs:
+            log_fd = lauricella_fd3_ln(1.5, n + 1.0 - mA, mA - mB, mB + n, 2.0, *(-2.0 * lam / beta))
+        term_logs[r] = log_coeff + math.log(abs(alpha) / (2.0 * beta)) + log_fd
+        term_errs[r] = errs[0]
+    signs = np.repeat(np.sign([alpha for alpha, _ in terms]), n.size)
+    log_total, sign = logsumexp(term_logs.ravel(), b=signs, return_sign=True)
     value = float(sign) * math.exp(float(log_total))
-    return BerResult(value=value, method="lauricella-exact", est_error=10.0 * fd_rtol)
+    est_error = math.exp(float(logsumexp(term_logs.ravel(), b=term_errs.ravel())) - float(log_total))
+    return BerResult(value=value, method="lauricella-exact", est_error=est_error)
 
 
 def ber_mgf_quadrature(p: IftrParams, mod: ModulationSpec) -> BerResult:
-    """Average error rate by adaptive quadrature of the Q-function average:
+    """Average error rate by quadrature of the Q-function average:
 
         (1/pi) sum_r alpha_r  integral_0^{pi/2} M(-beta_r / (2 sin^2 t)) dt.
 
     Valid for any real shapes; this is the independent oracle for the
-    closed form.
+    closed form.  All terms go through the theta engine together, one
+    vectorized MGF call per node doubling.  At low mean SNR the integrand
+    falls to zero within sin^2 t ~ gbar beta / (2 (1 + K)) of t = 0, where
+    the engine crowds its nodes.
     """
-    total = 0.0
-    err = 0.0
-    for alpha, beta in mod.terms:
-        if alpha == 0.0:
-            continue
+    terms = [(alpha, beta) for alpha, beta in mod.terms if alpha != 0.0]
+    alpha = np.array([a for a, _ in terms])
+    beta = np.array([b for _, b in terms])
 
-        def integrand(theta, beta=beta):
-            sin2 = math.sin(theta) ** 2
-            if sin2 == 0.0:
-                return 0.0
-            return float(mgf(p, -0.5 * beta / sin2))
+    def log_f(rows, sin2, cos2):
+        inside = sin2 > 0.0
+        s = -0.5 * beta[rows, None] / np.where(inside, sin2, 1.0)
+        with np.errstate(divide="ignore"):
+            return np.where(inside, np.log(mgf(p, s)), -np.inf)
 
-        val, abserr = quad(integrand, 0.0, 0.5 * math.pi, epsabs=0.0, epsrel=1e-11, limit=200)
-        total += alpha * val / math.pi
-        err += abs(alpha) * abserr / math.pi
+    tau = np.minimum(1.0, (p.mean_snr * beta / (2.0 * (1.0 + p.k))) ** 0.25)
+    log_int, err = theta_quadrature_ln(log_f, len(terms), tau=tau)
+    parts = alpha * np.exp(log_int) / math.pi
+    total = float(np.sum(parts))
     if total <= 0.0:
         raise ValidationError(f"quadrature produced non-positive error rate {total!r}")
-    return BerResult(value=total, method="mgf-quadrature", est_error=err / total)
+    return BerResult(value=total, method="mgf-quadrature", est_error=float(np.sum(np.abs(parts) * err)) / total)
 
 
 def ber_asymptotic(p: IftrParams, mod: ModulationSpec) -> BerResult:

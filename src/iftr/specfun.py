@@ -3,8 +3,9 @@
 Covers exactly what the fading statistics need: Gauss 2F1 (real arguments
 in (-inf, 1) plus the complex off-cut values met on Bromwich contours),
 the integer-order Kummer 1F1(m; 1; z) finite sum, the modified Bessel
-function I0, and the three-argument Lauricella F_D evaluated through its
-one-dimensional Euler integral.
+function I0, the three-argument Lauricella F_D evaluated through its
+one-dimensional Euler integral, and the trapezoid engine over
+theta in [0, pi/2] that integrates it (and the BER integrals).
 
 All potentially huge factors are handled in log space; series are summed
 with dynamic rescaling so intermediate overflow cannot occur even when the
@@ -14,6 +15,8 @@ function value itself only makes sense combined with tiny prefactors.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 from scipy.special import gammaln, gammasgn, logsumexp
@@ -29,6 +32,7 @@ __all__ = [
     "log_i0",
     "lauricella_fd3",
     "lauricella_fd3_ln",
+    "theta_quadrature_ln",
 ]
 
 
@@ -338,78 +342,164 @@ def bessel_i0e(x):
     return val if np.ndim(x) else (complex(val) if np.iscomplexobj(val) else float(val))
 
 
-_GL_ORDER = 24
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
+_THETA_FIRST_INTERVALS = 16
+_THETA_MAX_INTERVALS = 1 << 16
+_THETA_CHUNK = 4096
+_THETA_ERRORS: ContextVar = ContextVar("theta_errors", default=None)
 
 
-def _fd3_panel_ln(lo, hi, a, c, b_arr, x_arr):
-    """log of the Euler integral restricted to theta in [lo, hi].
+@contextmanager
+def _theta_errors():
+    """Collect the ``rel_err`` array of every :func:`theta_quadrature_ln`
+    call made inside the block (for callers that reach the engine through
+    a function returning values only)."""
+    sink: list = []
+    token = _THETA_ERRORS.set(sink)
+    try:
+        yield sink
+    finally:
+        _THETA_ERRORS.reset(token)
 
-    Integrand after t = sin^2(theta):  2 sin^(2a-1) cos^(2c-2a-1) *
-    prod_i (1 - x_i sin^2)^(-b_i), all positive, summed in log space.
+
+def _theta_nodes(phi, tau):
+    """(sin^2, cos^2, log d(theta)/d(phi)) of theta = arctan(tau tan(phi))."""
+    s2 = np.sin(phi) ** 2
+    c2 = np.cos(phi) ** 2
+    den = c2 + tau * tau * s2
+    return tau * tau * s2 / den, c2 / den, np.log(tau) - np.log(den)
+
+
+def _theta_sum_ln(log_f, rows, tau, phi, log_w=None):
+    """log of sum_j w_j g_rows(phi_j) over the given phi nodes (unit
+    weights unless ``log_w`` is given), in fixed-size chunks so that memory
+    stays bounded and a row's sum never depends on how many rows share the
+    call."""
+    total = np.full(rows.size, -np.inf)
+    for lo in range(0, phi.size, _THETA_CHUNK):
+        part = slice(lo, lo + _THETA_CHUNK)
+        sin2, cos2, log_jac = _theta_nodes(phi[None, part], tau)
+        log_g = log_f(rows, sin2, cos2) + log_jac
+        if log_w is not None:
+            log_g = log_g + log_w[part]
+        total = np.logaddexp(total, logsumexp(log_g, axis=1))
+    return total
+
+
+def theta_quadrature_ln(log_f, n_rows: int, tau=1.0, rtol: float = 1e-10):
+    """Log-integrals over theta in [0, pi/2] of a batch of positive integrands.
+
+    ``log_f(rows, sin2, cos2)`` returns the logs of the integrands of the
+    rows indexed by ``rows`` at nodes given by sin^2(theta) and
+    cos^2(theta), as an array of shape ``(rows.size, nodes)``; ``sin2``
+    and ``cos2`` have one row, or one per indexed row when ``tau`` varies
+    by row.  Each integrand must be an analytic, even, pi-periodic
+    function of theta (a function of sin^2(theta) is).  For such
+    integrands the trapezoid rule converges geometrically, and a doubling
+    of the nodes that changes the result by ``d`` leaves an error near
+    ``d**2``.
+
+    ``tau`` (scalar or one per row) sets the node-clustering change of
+    variable theta = arctan(tau tan(phi)), which keeps the integrand
+    analytic, even and pi-periodic in phi: tau < 1 crowds the nodes
+    towards theta = 0, tau > 1 towards pi/2.  The rule starts from
+    16 intervals in phi and doubles, reusing every earlier node; each row
+    stops at the first doubling that changes it by at most ``rtol``
+    relative and keeps that value, so a row's result never depends on the
+    other rows.  Returns ``(log_integral, rel_err)`` with ``rel_err`` the
+    last relative change.  Raises :class:`ConvergenceError` when a row is
+    still open at the node budget (65,537 nodes).
     """
-    mid = 0.5 * (hi + lo)
-    half = 0.5 * (hi - lo)
-    theta = mid + half * _GL_NODES
-    sin2 = np.sin(theta) ** 2
-    log_f = (
-        math.log(2.0)
-        + (2.0 * a - 1.0) * np.log(np.sin(theta))
-        + (2.0 * (c - a) - 1.0) * np.log(np.cos(theta))
-    )
-    for b_i, x_i in zip(b_arr, x_arr):
-        if b_i != 0.0 and x_i != 0.0:
-            log_f = log_f - b_i * np.log1p(-x_i * sin2)
-    return float(logsumexp(log_f, b=half * _GL_WEIGHTS))
+    if n_rows == 0:
+        return np.empty(0), np.empty(0)
+    tau = np.broadcast_to(np.asarray(tau, dtype=float).reshape(-1, 1), (n_rows, 1))
+    # One row of nodes serves every row when tau is shared.
+    shared = bool(np.all(tau == tau[0]))
+    out = np.empty(n_rows)
+    err = np.empty(n_rows)
+    rows = np.arange(n_rows)
+    n = _THETA_FIRST_INTERVALS
+    h = 0.5 * math.pi / n
+    ends = np.zeros(n + 1)
+    ends[[0, -1]] = -math.log(2.0)
+    log_sum = _theta_sum_ln(log_f, rows, tau[:1] if shared else tau, h * np.arange(n + 1.0), ends)
+    log_coarse = math.log(h) + log_sum
+    while rows.size:
+        if 2 * n > _THETA_MAX_INTERVALS:
+            raise ConvergenceError(
+                f"theta quadrature did not reach rtol={rtol:g} within "
+                f"{n + 1} nodes ({rows.size} of {n_rows} rows open)"
+            )
+        t = tau[:1] if shared else tau[rows]
+        log_sum = np.logaddexp(log_sum, _theta_sum_ln(log_f, rows, t, h * (np.arange(n) + 0.5)))
+        n *= 2
+        h *= 0.5
+        log_fine = math.log(h) + log_sum
+        change = np.abs(np.expm1(log_coarse - log_fine))
+        done = change <= rtol
+        out[rows[done]] = log_fine[done]
+        err[rows[done]] = change[done]
+        rows, log_sum, log_coarse = rows[~done], log_sum[~done], log_fine[~done]
+    sink = _THETA_ERRORS.get()
+    if sink is not None:
+        sink.append(err)
+    return out, err
 
 
-def lauricella_fd3_ln(a, b1, b2, b3, c, x, y, z, rtol: float = 1e-10) -> float:
-    """log of F_D^(3)(a; b1, b2, b3; c; x, y, z) for c > a > 0 and args < 1.
+def lauricella_fd3_ln(a, b1, b2, b3, c, x, y, z, rtol: float = 1e-10):
+    """log of F_D^(3)(a; b1, b2, b3; c; x, y, z) for arguments < 1.
 
-    One-dimensional Euler integral with the t = sin^2(theta) substitution
-    (removes both endpoint singularities for the in-model a = 3/2, c = 2),
-    then adaptive bisection with fixed-order Gauss-Legendre panels.
+    Euler integral under t = sin^2(theta):
+
+        Gamma(c) / (Gamma(a) Gamma(c - a)) * integral_0^{pi/2}
+            2 sin^(2a-1) cos^(2c-2a-1) prod_i (1 - x_i sin^2)^(-b_i) d(theta),
+
+    through :func:`theta_quadrature_ln`.  ``a - 1/2`` and ``c - a - 1/2``
+    must be non-negative integers (the model uses a = 3/2, c = 2), so that
+    the integrand is analytic, even and pi-periodic.  The exponents ``b1,
+    b2, b3`` may be broadcastable arrays, evaluated in one batch with an
+    array result; scalars give a float.  The engine's node clustering
+    follows the smallest argument, tau = (1 - min x)^(-1/4): a large
+    negative argument confines the integrand's change to sin^2 ~ 1/|x|
+    near theta = 0.
     """
     a = float(a)
     c = float(c)
-    if not c > a > 0.0:
-        raise ValueError(f"need c > a > 0, got a={a}, c={c}")
-    b_arr = (float(b1), float(b2), float(b3))
-    x_arr = (float(x), float(y), float(z))
-    for x_i in x_arr:
+    e_sin = a - 0.5
+    e_cos = c - a - 0.5
+    for name, e in (("a - 1/2", e_sin), ("c - a - 1/2", e_cos)):
+        if not (e >= 0.0 and e.is_integer()):
+            raise ValueError(
+                f"{name} must be a non-negative integer (got a={a}, c={c}): only "
+                "then is the theta integrand of F_D analytic and periodic"
+            )
+    args = (float(x), float(y), float(z))
+    for x_i in args:
         if x_i >= 1.0:
             raise ValueError(f"arguments must be < 1, got {x_i}")
+    b = np.broadcast_arrays(*(np.asarray(b_i, dtype=float) for b_i in (b1, b2, b3)))
+    shape = b[0].shape
+    cols = [(b_i.reshape(-1, 1), x_i) for b_i, x_i in zip(b, args) if x_i != 0.0 and np.any(b_i != 0.0)]
 
+    def log_f(rows, sin2, cos2):
+        with np.errstate(divide="ignore"):
+            log_g = np.full(sin2.shape, math.log(2.0))
+            if e_sin:
+                log_g = log_g + e_sin * np.log(sin2)
+            if e_cos:
+                log_g = log_g + e_cos * np.log(cos2)
+        out = np.broadcast_to(log_g, (rows.size, sin2.shape[1]))
+        for b_i, x_i in cols:
+            out = out - b_i[rows] * np.log1p(-x_i * sin2)
+        return out
+
+    tau = (1.0 - min(args)) ** -0.25
+    log_int, _ = theta_quadrature_ln(log_f, int(np.prod(shape)), tau=tau, rtol=rtol)
     log_pref = gammaln(c) - gammaln(a) - gammaln(c - a)
-    # Panels kept as (lo, hi, coarse log-integral); refined until the
-    # bisected estimate agrees with the coarse one.
-    panels = [(0.0, 0.5 * math.pi, _fd3_panel_ln(0.0, 0.5 * math.pi, a, c, b_arr, x_arr))]
-    for _ in range(200):
-        total = logsumexp([p[2] for p in panels])
-        refined = []
-        worst = 0.0
-        for lo, hi, coarse in panels:
-            mid = 0.5 * (lo + hi)
-            left = _fd3_panel_ln(lo, mid, a, c, b_arr, x_arr)
-            right = _fd3_panel_ln(mid, hi, a, c, b_arr, x_arr)
-            fine = np.logaddexp(left, right)
-            err = abs(math.expm1(coarse - fine)) * math.exp(fine - total)
-            if err > 0.05 * rtol:
-                refined.append((lo, mid, left))
-                refined.append((mid, hi, right))
-            else:
-                refined.append((lo, hi, fine))
-            worst = max(worst, err)
-        if len(refined) == len(panels) and worst <= 0.05 * rtol:
-            return log_pref + logsumexp([p[2] for p in refined])
-        panels = refined
-        if len(panels) > 4096:
-            break
-    raise ConvergenceError(
-        f"F_D quadrature did not reach rtol={rtol:g} (panels={len(panels)})"
-    )
+    out = (log_pref + log_int).reshape(shape)
+    return float(out) if not shape else out
 
 
-def lauricella_fd3(a, b1, b2, b3, c, x, y, z, rtol: float = 1e-10) -> float:
+def lauricella_fd3(a, b1, b2, b3, c, x, y, z, rtol: float = 1e-10):
     """Lauricella F_D of three variables via its Euler integral."""
-    return math.exp(lauricella_fd3_ln(a, b1, b2, b3, c, x, y, z, rtol=rtol))
+    ln = lauricella_fd3_ln(a, b1, b2, b3, c, x, y, z, rtol=rtol)
+    return math.exp(ln) if np.ndim(ln) == 0 else np.exp(ln)

@@ -1,10 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import iftr
 from iftr.cli import main
+from iftr.linkperf import ber_mgf_quadrature
+from iftr.params import ModulationSpec
 from iftr.sim import SimConfig, sample_iftr
 from iftr.params import IftrParams
 from iftr.sim import write_samples, provenance_dict
@@ -191,3 +198,30 @@ def test_fit_json_deterministic(tmp_path, capsys):
     rc2, out2 = run(capsys, argv)
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+def test_ber_route_choice_beyond_term_cap(capsys):
+    # m1 = 500 is an integer but past the closed form's 400-term cap: the
+    # quadrature route runs directly, without a fallback warning per point.
+    argv = ["ber", "--K", "5", "--Delta", "0.5", "--m1", "500", "--m2", "2.5",
+            "--db-start", "0", "--db-stop", "20", "--db-step", "10"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out = run(capsys, argv)
+    assert rc == 0
+    header, rows = parse_csv(out)
+    assert header == ["gamma_bar_db", "exact", "asymptotic"]
+    for db, value in rows[:, :2]:
+        p = IftrParams(k=5, delta=0.5, m1=500, m2=2.5, mean_snr=10 ** (db / 10.0))
+        assert value == pytest.approx(ber_mgf_quadrature(p, ModulationSpec.bpsk()).value, rel=1e-15)
+
+
+def test_cli_import_leaves_optimizer_and_integrator_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(iftr.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, iftr.cli; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -43,6 +43,28 @@ def test_zero_snr_limit_is_half():
     assert ber_exact(p, BPSK).value == pytest.approx(0.5, rel=1e-4)
 
 
+def test_low_snr_boundary_layer_custom_modulation():
+    # At mean SNR 1e-9 the Craig integrand falls from its plateau to zero
+    # within sin^2 t ~ 1e-10 of t = 0; an adaptive quadrature that steps
+    # over that layer misses the value by 1.7e-5 while reporting 6e-12.
+    p = IftrParams(k=3.0, delta=0.5, m1=2, m2=2, mean_snr=1e-9)
+    mod = ModulationSpec([(2.0, 0.3), (-0.5, 1.2)])
+    exact = ber_exact(p, mod)
+    quad = ber_mgf_quadrature(p, mod)
+    gap = abs(exact.value - quad.value)
+    assert gap <= 1e-9 * exact.value
+    assert exact.est_error * exact.value >= gap
+    assert quad.est_error * quad.value >= gap
+
+
+@pytest.mark.parametrize("m1", [2, 5, 40])
+def test_exact_error_estimate_at_fig4_points(m1):
+    for db in range(0, 51, 5):
+        p = IftrParams(k=15, delta=0.5, m1=m1, m2=2, mean_snr=10 ** (db / 10.0))
+        est = ber_exact(p, BPSK).est_error
+        assert math.isfinite(est) and 0.0 <= est <= 1e-10, (m1, db, est)
+
+
 def test_exact_vs_quadrature_random_sweep():
     rng = np.random.default_rng(404)
     for _ in range(10):
@@ -71,6 +93,14 @@ def test_noninteger_shapes_fall_back_with_notice():
     with pytest.warns(UserWarning, match="quadrature"):
         res = ber_exact(p, BPSK)
     assert res.method == "mgf-quadrature"
+
+
+def test_integer_shape_beyond_term_cap_falls_back_naming_the_cap():
+    p = IftrParams(k=5.0, delta=0.5, m1=500, m2=2.5, mean_snr=10.0)
+    with pytest.warns(UserWarning, match="at most 400"):
+        res = ber_exact(p, BPSK)
+    assert res.method == "mgf-quadrature"
+    assert res.value == ber_mgf_quadrature(p, BPSK).value
 
 
 def test_monte_carlo_agrees():

@@ -15,7 +15,9 @@ from iftr.specfun import (
     kummer_1f1,
     kummer_1f1_ln,
     lauricella_fd3,
+    lauricella_fd3_ln,
     log_i0,
+    theta_quadrature_ln,
 )
 
 
@@ -267,3 +269,87 @@ def test_fd3_domain_checks():
         lauricella_fd3(2.5, 1, 1, 1, 2.0, -0.5, -0.5, -0.5)  # needs c > a
     with pytest.raises(ValueError):
         lauricella_fd3(1.5, 1, 1, 1, 2.0, 1.5, -0.5, -0.5)  # argument >= 1
+
+
+def test_fd3_rejects_shapes_without_periodic_integrand():
+    # a - 1/2 and c - a - 1/2 must be non-negative integers.
+    with pytest.raises(ValueError):
+        lauricella_fd3(1.0, 1, 1, 1, 2.5, -0.5, -0.5, -0.5)
+    with pytest.raises(ValueError):
+        lauricella_fd3(1.5, 1, 1, 1, 2.2, -0.5, -0.5, -0.5)
+
+
+def test_fd3_other_half_integer_shapes_against_simpson_oracle():
+    for a, c in ((0.5, 1.0), (2.5, 4.0)):
+        got = lauricella_fd3(a, 0.5, 1.0, 2.0, c, -0.3, -0.7, -1.2)
+        oracle = simpson_fd3(a, (0.5, 1.0, 2.0), c, (-0.3, -0.7, -1.2))
+        assert got == pytest.approx(oracle, rel=1e-9), (a, c)
+
+
+def test_fd3_batched_rows_equal_scalar_calls():
+    n = np.arange(12.0)
+    for args in ((-3e4, -20.0, -0.5), (-4e9, -3e9, -1e9), (0.9, -2.0, 0.0)):
+        batch = lauricella_fd3_ln(1.5, n - 3.0, 2.0, n + 1.0, 2.0, *args)
+        assert batch.shape == n.shape
+        for i, b in enumerate(n):
+            single = lauricella_fd3_ln(1.5, b - 3.0, 2.0, b + 1.0, 2.0, *args)
+            assert isinstance(single, float)
+            assert abs(math.expm1(batch[i] - single)) <= 1e-15, (args, b)
+    # Broadcasting across exponent arrays of different shapes.
+    grid = lauricella_fd3_ln(1.5, n[:, None], np.array([0.5, 1.5]), 1.0, 2.0, -5.0, -2.0, -1.0)
+    assert grid.shape == (12, 2)
+
+
+# ---------------------------------------------------------------------------
+# Theta quadrature engine
+# ---------------------------------------------------------------------------
+
+def test_theta_quadrature_elementary_integral():
+    # integral_0^{pi/2} d(theta) / (1 - x sin^2 theta) = pi / (2 sqrt(1 - x)),
+    # with a layer at theta = 0 for x << -1 and at pi/2 for x -> 1.
+    x = np.array([-1e9, -1e6, -3.0, 0.0, 0.5, 0.99, 1.0 - 1e-9])
+
+    def log_f(rows, sin2, cos2):
+        # 1 - x sin^2 written so that it keeps its digits as x -> 1
+        return -np.log(cos2 + (1.0 - x[rows, None]) * sin2)
+
+    want = np.log(0.5 * math.pi / np.sqrt(1.0 - x))
+    # Nodes clustered per row where its layer sits.
+    log_int, err = theta_quadrature_ln(log_f, x.size, tau=(1.0 - x) ** -0.25, rtol=1e-12)
+    np.testing.assert_allclose(log_int, want, rtol=0, atol=5e-14)
+    assert np.all(err <= 1e-12)
+    # Without clustering the moderate rows still converge, and each row's
+    # value does not depend on the rows beside it.
+    def moderate(shift):
+        return lambda rows, sin2, cos2: log_f(rows + shift, sin2, cos2)
+
+    plain, _ = theta_quadrature_ln(moderate(2), 4, rtol=1e-12)
+    np.testing.assert_allclose(plain, want[2:6], rtol=0, atol=5e-14)
+    alone, _ = theta_quadrature_ln(moderate(3), 1, rtol=1e-12)
+    assert alone[0] == plain[1]
+
+
+def test_theta_quadrature_node_budget():
+    # A kink at theta = pi/4 spoils geometric convergence: the trapezoid
+    # error falls only as h^2, so 1e-13 is out of reach of the budget.
+    def log_f(rows, sin2, cos2):
+        return np.log(np.abs(sin2 - cos2) + 1.0) + np.zeros((rows.size, 1))
+
+    with pytest.raises(ConvergenceError):
+        theta_quadrature_ln(log_f, 2, rtol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "k,delta,m1,m2,gbar",
+    [(300.0, 1.0, 40, 2.0, 0.01), (50.0, 0.9, 7, 0.6, 1e-3)],
+)
+def test_ber_routes_agree_at_large_k_low_snr(k, delta, m1, m2, gbar):
+    from iftr.linkperf import ber_exact, ber_mgf_quadrature
+    from iftr.params import ModulationSpec
+
+    p = IftrParams(k=k, delta=delta, m1=m1, m2=m2, mean_snr=gbar)
+    bpsk = ModulationSpec.bpsk()
+    exact = ber_exact(p, bpsk)
+    quad = ber_mgf_quadrature(p, bpsk)
+    assert exact.method == "lauricella-exact"
+    assert exact.value == pytest.approx(quad.value, rel=1e-9)
