@@ -77,10 +77,9 @@ def ber_exact(p: IftrParams, mod: ModulationSpec) -> BerResult:
 
     Either shape may be the integer one (the labeling symmetry covers the
     second case).  The closed form is a sum of one Lauricella term per
-    integer of the shape, so it is used up to a shape of
-    ``_MAX_EXACT_SUM_TERMS``; otherwise the call transparently falls back
-    to the quadrature route, with a warning and the method tag showing
-    what ran.  ``est_error`` combines the theta engine's estimates of the
+    unit of the integer shape, so it is used for integer shapes up to 400;
+    otherwise the call transparently falls back to the quadrature route,
+    with a warning and the method tag showing what ran.  ``est_error`` combines the theta engine's estimates of the
     Lauricella terms.
     """
     order = _integer_shape_order(p)
