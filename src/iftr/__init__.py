@@ -36,7 +36,6 @@ from .specfun import (
 from .stats import (
     ApproximationWarning,
     DistributionDomain,
-    IftrDerived,
     cdf,
     cdf_asymptotic_slope,
     convergence_abscissa,
@@ -75,7 +74,6 @@ __all__ = [
     "lauricella_fd3",
     "ApproximationWarning",
     "DistributionDomain",
-    "IftrDerived",
     "mgf",
     "mgf_integer_m1",
     "twdp_limit_mgf",

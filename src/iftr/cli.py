@@ -29,7 +29,6 @@ from .fitting import (
 )
 from .laplace import LaplaceInversionConfig
 from .linkperf import (
-    _integer_shape_order,
     ber_asymptotic,
     ber_exact,
     ber_mgf_quadrature,
@@ -38,9 +37,9 @@ from .linkperf import (
     outage_asymptotic,
 )
 from .params import IftrParams, ModulationSpec, ValidationError, params_from_json
-from .sim import SimConfig, provenance_dict, sample_ftr, sample_iftr, sample_rice, sample_rician_shadowed, sample_twdp, write_samples
+from .sim import MODELS, OUTPUTS, SimConfig, provenance_dict, read_samples, sample, sample_iftr, write_samples
 from .specfun import ConvergenceError
-from .stats import DistributionDomain, cdf, pdf, rician_shadowed_pdf
+from .stats import DistributionDomain, _integer_shape_form, cdf, pdf, rician_shadowed_pdf
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -193,17 +192,10 @@ def cmd_eval(args) -> int:
 def cmd_sample(args) -> int:
     cfg = SimConfig(n_samples=args.n, seed=args.seed, model=args.model, output=args.output)
     scale = args.omega if args.omega is not None else (args.gamma_bar if args.gamma_bar is not None else 1.0)
+    p = None
     if args.model == "iftr":
         p = IftrParams(k=args.K, delta=args.Delta, m1=args.m1, m2=args.m2, mean_snr=scale)
-        values = sample_iftr(p, cfg)
-    elif args.model == "ftr":
-        values = sample_ftr(args.K, args.Delta, args.m, scale, cfg)
-    elif args.model == "twdp":
-        values = sample_twdp(args.K, args.Delta, scale, cfg)
-    elif args.model == "rice":
-        values = sample_rice(args.K, scale, cfg)
-    else:
-        values = sample_rician_shadowed(args.K, args.m, scale, cfg)
+    values = sample(cfg, p, k=args.K, delta=args.Delta, m=args.m, mean_power=scale)
     prov = provenance_dict(
         cfg,
         tool="iftr",
@@ -255,7 +247,7 @@ def cmd_ber(args) -> int:
         _write_csv(args, header, rows, "ber")
         return EXIT_OK
     base = _params_from_args(args)
-    route = ber_exact if _integer_shape_order(base) is not None else ber_mgf_quadrature
+    route = ber_exact if _integer_shape_form(base) is not None else ber_mgf_quadrature
     rows = []
     for d in db:
         p = base.with_mean_snr(10.0 ** (d / 10.0))
@@ -292,9 +284,7 @@ def cmd_outage(args) -> int:
         p = base.with_mean_snr(10.0 ** (d / 10.0))
         fields = [_fmt(d), _fmt(outage(p, args.Rs)), _fmt(outage_asymptotic(p, args.Rs))]
         if args.monte_carlo:
-            from .sim import sample_iftr as _si
-
-            snr = _si(p, SimConfig(n_samples=args.monte_carlo, seed=args.seed, output="snr"))
+            snr = sample_iftr(p, SimConfig(n_samples=args.monte_carlo, seed=args.seed, output="snr"))
             fields.append(_fmt(float(np.mean(snr < 2.0 ** args.Rs - 1.0))))
         rows.append(",".join(fields))
     header = "gamma_bar_db,exact,asymptotic" + (",monte_carlo" if args.monte_carlo else "")
@@ -305,8 +295,6 @@ def cmd_outage(args) -> int:
 def cmd_fit(args) -> int:
     domain = DistributionDomain(args.domain)
     if args.from_samples:
-        from .sim import read_samples
-
         values, _ = read_samples(args.input)
         emp = empirical_cdf_from_samples(values, domain=domain, n_points=args.quantiles)
     else:
@@ -369,10 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("sample", help="draw channel realizations to a sample file")
-    sp.add_argument("--model", default="iftr", choices=("iftr", "ftr", "twdp", "rice", "rician-shadowed"))
+    sp.add_argument("--model", default="iftr", choices=tuple(MODELS))
     sp.add_argument("--n", type=int, required=True, help="number of samples")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--output", default="envelope", choices=("envelope", "snr", "complex-voltage"))
+    sp.add_argument("--output", default="envelope", choices=OUTPUTS)
     sp.add_argument("--m", type=_parse_shape, default=math.inf, help="shared/single fluctuation shape (ftr, rician-shadowed)")
     _add_param_flags(sp)
     sp.add_argument("--out", required=True, help="output sample file")

@@ -240,14 +240,13 @@ def _objective(evaluator: _CdfEvaluator, emp: EmpiricalCdf, make_params):
     return fun
 
 
-def _run_family(emp, evaluator, family, cfg: FitConfig, rng) -> FitResult:
+def _nelder_mead(fun, starts, boxes, cfg: FitConfig):
+    """Nelder-Mead from each prepared start in turn.
+
+    Returns (best theta, best epsilon, one trace entry per start).
+    """
     from scipy.optimize import minimize  # deferred: only fits need the optimizer
 
-    names, boxes, make = _family_spec(family, cfg.fit_scale, cfg.bounds)
-    fun = _objective(evaluator, emp, make)
-    starts = [0.5 * (boxes[:, 0] + boxes[:, 1])]
-    for _ in range(cfg.restarts - 1):
-        starts.append(boxes[:, 0] + (boxes[:, 1] - boxes[:, 0]) * rng.random(len(boxes)))
     trace = []
     best_theta, best_eps = None, math.inf
     with warnings.catch_warnings():
@@ -267,6 +266,16 @@ def _run_family(emp, evaluator, family, cfg: FitConfig, rng) -> FitResult:
             trace.append({"start": list(map(float, theta0)), "epsilon": float(res.fun)})
             if res.fun < best_eps:
                 best_eps, best_theta = float(res.fun), res.x
+    return best_theta, best_eps, trace
+
+
+def _run_family(emp, evaluator, family, cfg: FitConfig, rng) -> FitResult:
+    names, boxes, make = _family_spec(family, cfg.fit_scale, cfg.bounds)
+    fun = _objective(evaluator, emp, make)
+    starts = [0.5 * (boxes[:, 0] + boxes[:, 1])]
+    for _ in range(cfg.restarts - 1):
+        starts.append(boxes[:, 0] + (boxes[:, 1] - boxes[:, 0]) * rng.random(len(boxes)))
+    best_theta, best_eps, trace = _nelder_mead(fun, starts, boxes, cfg)
     params = make(best_theta)
     return FitResult(
         params=params,
@@ -277,8 +286,6 @@ def _run_family(emp, evaluator, family, cfg: FitConfig, rng) -> FitResult:
 
 
 def _run_integer_m1(emp, evaluator, cfg: FitConfig, rng) -> FitResult:
-    from scipy.optimize import minimize  # deferred: only fits need the optimizer
-
     best = None
     per_m1 = []
     for m1 in cfg.m1_grid:
@@ -297,19 +304,7 @@ def _run_integer_m1(emp, evaluator, cfg: FitConfig, rng) -> FitResult:
         starts = [0.5 * (sub_boxes[:, 0] + sub_boxes[:, 1])]
         for _ in range(max(1, cfg.restarts // 2)):
             starts.append(sub_boxes[:, 0] + (sub_boxes[:, 1] - sub_boxes[:, 0]) * rng.random(len(sub_boxes)))
-        local_best, local_theta = math.inf, None
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for theta0 in starts:
-                res = minimize(
-                    fun,
-                    theta0,
-                    method="Nelder-Mead",
-                    bounds=sub_boxes,
-                    options={"maxfev": cfg.max_evaluations, "xatol": 1e-4, "fatol": 0.1 * cfg.optimizer_tolerance},
-                )
-                if res.fun < local_best:
-                    local_best, local_theta = float(res.fun), res.x
+        local_theta, local_best, _ = _nelder_mead(fun, starts, sub_boxes, cfg)
         per_m1.append({"m1": m1, "epsilon": local_best})
         candidate = FitResult(
             params=make(local_theta),

@@ -24,11 +24,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import logsumexp
 
 from .params import IftrParams, ModulationSpec, ValidationError
 from .sim import SimConfig, sample_iftr
-from .stats import cdf, cdf_asymptotic_slope, mgf
+from .stats import _MAX_SUM_TERMS, _integer_shape_form, cdf, cdf_asymptotic_slope, mgf
 from .specfun import _theta_errors, lauricella_fd3_ln, theta_quadrature_ln
 
 __all__ = [
@@ -40,8 +40,6 @@ __all__ = [
     "outage",
     "outage_asymptotic",
 ]
-
-_MAX_EXACT_SUM_TERMS = 400
 
 
 @dataclass(frozen=True)
@@ -57,21 +55,6 @@ class BerResult:
     est_error: float
 
 
-def _integer_shape_order(p: IftrParams):
-    """(m_int, m_other, p_int, p_other) with the integer shape leading,
-    or None when neither shape is a positive integer."""
-    p1, p2 = p.ray_power_ratios()
-    for m_lead, m_other, p_lead, p_other in ((p.m1, p.m2, p1, p2), (p.m2, p.m1, p2, p1)):
-        if (
-            math.isfinite(m_lead)
-            and abs(m_lead - round(m_lead)) < 1e-9
-            and 1 <= round(m_lead) <= _MAX_EXACT_SUM_TERMS
-            and math.isfinite(m_other)
-        ):
-            return int(round(m_lead)), float(m_other), p_lead, p_other
-    return None
-
-
 def ber_exact(p: IftrParams, mod: ModulationSpec) -> BerResult:
     """Closed-form average error rate (integer-shape Lauricella route).
 
@@ -79,57 +62,28 @@ def ber_exact(p: IftrParams, mod: ModulationSpec) -> BerResult:
     second case).  The closed form is a sum of one Lauricella term per
     unit of the integer shape, so it is used for integer shapes up to 400;
     otherwise the call transparently falls back to the quadrature route,
-    with a warning and the method tag showing what ran.  ``est_error`` combines the theta engine's estimates of the
-    Lauricella terms.
+    with a warning and the method tag showing what ran.  ``est_error``
+    combines the theta engine's estimates of the Lauricella terms.
     """
-    order = _integer_shape_order(p)
-    if order is None:
+    form = _integer_shape_form(p)
+    if form is None:
         warnings.warn(
             "exact closed form needs a positive-integer fluctuation shape of at "
-            f"most {_MAX_EXACT_SUM_TERMS} (one Lauricella term per unit of shape): "
+            f"most {_MAX_SUM_TERMS} (one Lauricella term per unit of shape): "
             "using MGF quadrature",
             UserWarning,
             stacklevel=2,
         )
         return ber_mgf_quadrature(p, mod)
-    m_int, m_other, p_int, p_other = order
-    k, gbar = p.k, p.mean_snr
-    mA, mB = float(m_int), m_other
-    aA = mA + p_int
-    a2 = mA * p_other + mB * p_int + mA * mB
-    lam = np.array(
-        [
-            (1.0 + k) / gbar,
-            mA * (1.0 + k) / (aA * gbar),
-            mA * mB * (1.0 + k) / (a2 * gbar),
-        ]
-    )
-    n = np.arange(1 if (k == 0.0 or p.delta == 0.0) else m_int)
-    log_coeff = (
-        math.log1p(k)
-        - math.log(gbar)
-        + mA * math.log(mA)
-        + mB * math.log(mB)
-        + (mB - mA) * math.log(aA)
-        - gammaln(n + 1)
-        + gammaln(mA)
-        - gammaln(n + 1)
-        - gammaln(mA - n)
-        + gammaln(mB + n)
-        - gammaln(mB)
-        - (mB + n) * math.log(a2)
-    )
-    if n.size > 1:
-        log_coeff += 2.0 * n * math.log(0.5 * k * p.delta)
     terms = [(alpha, beta) for alpha, beta in mod.terms if alpha != 0.0]
-    term_logs = np.empty((len(terms), n.size))
+    term_logs = np.empty((len(terms), form.log_coeff.size))
     term_errs = np.empty_like(term_logs)
     for r, (alpha, beta) in enumerate(terms):
         with _theta_errors() as errs:
-            log_fd = lauricella_fd3_ln(1.5, n + 1.0 - mA, mA - mB, mB + n, 2.0, *(-2.0 * lam / beta))
-        term_logs[r] = log_coeff + math.log(abs(alpha) / (2.0 * beta)) + log_fd
+            log_fd = lauricella_fd3_ln(1.5, *form.exponents.T, 2.0, *(-2.0 * form.rates / beta))
+        term_logs[r] = form.log_coeff + math.log(abs(alpha) / (2.0 * beta)) + log_fd
         term_errs[r] = errs[0]
-    signs = np.repeat(np.sign([alpha for alpha, _ in terms]), n.size)
+    signs = np.repeat(np.sign([alpha for alpha, _ in terms]), form.log_coeff.size)
     log_total, sign = logsumexp(term_logs.ravel(), b=signs, return_sign=True)
     value = float(sign) * math.exp(float(log_total))
     est_error = math.exp(float(logsumexp(term_logs.ravel(), b=term_errs.ravel())) - float(log_total))

@@ -18,6 +18,9 @@ import json
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+from scipy.special import erfc
+
 __all__ = [
     "M_SHAPE_MAX",
     "ValidationError",
@@ -211,13 +214,8 @@ class ModulationSpec:
             )
 
     def _cep_out_of_range(self):
-        import numpy as np
-        from scipy.special import erfc
-
         snr = np.concatenate(([0.0], np.logspace(-3.0, 3.0, _CEP_GRID_POINTS)))
-        cep = np.zeros_like(snr)
-        for alpha, beta in self.terms:
-            cep += alpha * 0.5 * erfc(np.sqrt(0.5 * beta * snr))
+        cep = self.cep(snr)
         tol = 1e-12
         idx = np.argmax((cep < -tol) | (cep > 1.0 + tol))
         if cep[idx] < -tol or cep[idx] > 1.0 + tol:
@@ -226,9 +224,6 @@ class ModulationSpec:
 
     def cep(self, snr):
         """Conditional error probability at the given instantaneous SNR(s)."""
-        import numpy as np
-        from scipy.special import erfc
-
         snr = np.asarray(snr, dtype=float)
         out = np.zeros_like(snr)
         for alpha, beta in self.terms:

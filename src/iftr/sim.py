@@ -29,7 +29,6 @@ from .params import IftrParams, ValidationError
 __all__ = ["SimConfig", "sample_iftr", "sample_ftr", "sample_twdp", "sample_rice",
            "sample_rician_shadowed", "write_samples", "read_samples"]
 
-MODELS = ("iftr", "ftr", "twdp", "rice", "rician-shadowed")
 OUTPUTS = ("envelope", "snr", "complex-voltage")
 _CHUNK = 1 << 19
 
@@ -47,7 +46,7 @@ class SimConfig:
         if self.n_samples < 1:
             raise ValidationError(f"n_samples must be >= 1, got {self.n_samples}")
         if self.model not in MODELS:
-            raise ValidationError(f"model must be one of {MODELS}, got {self.model!r}")
+            raise ValidationError(f"model must be one of {tuple(MODELS)}, got {self.model!r}")
         if self.output not in OUTPUTS:
             raise ValidationError(f"output must be one of {OUTPUTS}, got {self.output!r}")
 
@@ -135,42 +134,39 @@ def sample_ftr(k: float, delta: float, m: float, mean_power: float, cfg: SimConf
 
 def sample_twdp(k: float, delta: float, mean_power: float, cfg: SimConfig) -> np.ndarray:
     """Frozen rays plus diffuse power (the m -> inf limit)."""
-    v1, v2, sigma = _normalized_amplitudes(k, delta)
-    chunks = [
-        _draw_voltage(rng, n, v1, v2, sigma, math.inf, math.inf)
-        for rng, n in _chunks(cfg)
-    ]
-    return _assemble(cfg, chunks, mean_power)
+    return sample_iftr(IftrParams(k, delta, math.inf, math.inf, mean_power), cfg)
 
 
 def sample_rice(k: float, mean_power: float, cfg: SimConfig) -> np.ndarray:
     """Single frozen ray plus diffuse power."""
-    return sample_twdp(k, 0.0, mean_power, cfg)
+    return sample_iftr(IftrParams(k, 0.0, math.inf, math.inf, mean_power), cfg)
 
 
 def sample_rician_shadowed(k: float, m: float, mean_power: float, cfg: SimConfig) -> np.ndarray:
     """Single Gamma-fluctuating ray plus diffuse power."""
-    v1, v2, sigma = _normalized_amplitudes(k, 0.0)
-    chunks = [
-        _draw_voltage(rng, n, v1, v2, sigma, m, math.inf) for rng, n in _chunks(cfg)
-    ]
-    return _assemble(cfg, chunks, mean_power)
+    return sample_iftr(IftrParams(k, 0.0, m, math.inf, mean_power), cfg)
 
 
-def sample(cfg: SimConfig, p: IftrParams | None = None, **model_kwargs) -> np.ndarray:
-    """Dispatch on ``cfg.model``.  The two-fluctuation models take ``p``;
-    the comparison models take their scalar parameters as keywords."""
-    if cfg.model == "iftr":
-        if p is None:
-            raise ValidationError("model 'iftr' needs IftrParams")
-        return sample_iftr(p, cfg)
-    if cfg.model == "ftr":
-        return sample_ftr(cfg=cfg, **model_kwargs)
-    if cfg.model == "twdp":
-        return sample_twdp(cfg=cfg, **model_kwargs)
-    if cfg.model == "rice":
-        return sample_rice(cfg=cfg, **model_kwargs)
-    return sample_rician_shadowed(cfg=cfg, **model_kwargs)
+# Model name -> (sampler, the parameters it takes before the config).
+MODELS = {
+    "iftr": (sample_iftr, ("p",)),
+    "ftr": (sample_ftr, ("k", "delta", "m", "mean_power")),
+    "twdp": (sample_twdp, ("k", "delta", "mean_power")),
+    "rice": (sample_rice, ("k", "mean_power")),
+    "rician-shadowed": (sample_rician_shadowed, ("k", "m", "mean_power")),
+}
+
+
+def sample(cfg: SimConfig, p: IftrParams | None = None, **params) -> np.ndarray:
+    """Draw ``cfg.model``.  The two-fluctuation model takes ``p``, the
+    comparison models their scalar parameters as keywords (named in
+    ``MODELS``); parameters the model does not take are ignored."""
+    sampler, names = MODELS[cfg.model]
+    params["p"] = p
+    missing = [name for name in names if params.get(name) is None]
+    if missing:
+        raise ValidationError(f"model {cfg.model!r} needs {', '.join(missing)}")
+    return sampler(*(params[name] for name in names), cfg)
 
 
 def write_samples(path, values: np.ndarray, provenance: dict) -> None:

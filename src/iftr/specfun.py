@@ -303,7 +303,11 @@ def _i0_asymptotic_pieces(z: np.ndarray):
 
 
 def log_i0(z):
-    """log I0(z) for real or complex z (principal value of the log).
+    """A logarithm of I0(z) for real or complex z.
+
+    ``exp(log_i0(z)) = I0(z)`` and the real part is log|I0(z)|; the
+    imaginary part is not reduced to the principal branch (it tracks
+    Im z at large |z|: ``log_i0(1e5j).imag`` is about 1e5).
 
     Ascending series up to |z| <= 20, large-argument asymptotics beyond,
     including the recessive exponential that matters near the imaginary

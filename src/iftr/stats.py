@@ -37,7 +37,6 @@ from .specfun import hyp2f1_ln, kummer_1f1_ln, log_i0
 
 __all__ = [
     "DistributionDomain",
-    "IftrDerived",
     "ApproximationWarning",
     "mgf",
     "mgf_integer_m1",
@@ -72,44 +71,6 @@ class DistributionDomain(Enum):
 
 def _as_domain(domain) -> DistributionDomain:
     return domain if isinstance(domain, DistributionDomain) else DistributionDomain(domain)
-
-
-@dataclass(frozen=True)
-class IftrDerived:
-    """Cached constants of the factorized MGF.
-
-    ``a1 = m1 + p1`` and ``a2 = m1 p2 + m2 p1 + m1 m2`` locate the contour
-    singularities; ``log_prefactors`` holds the per-summand log
-    coefficients of the finite-sum (integer shape) forms, empty when the
-    leading shape is not a positive integer.
-    """
-
-    a1: float
-    a2: float
-    log_prefactors: tuple
-
-    @classmethod
-    def from_params(cls, p: IftrParams) -> "IftrDerived":
-        p1, p2 = p.ray_power_ratios()
-        m1, m2 = p.m1, p.m2
-        a1 = m1 + p1
-        a2 = m1 * p2 + m2 * p1 + m1 * m2
-        prefactors: tuple = ()
-        if m1 == round(m1) and m1 >= 1 and math.isfinite(m1) and math.isfinite(m2):
-            n = np.arange(int(m1))
-            logc = (
-                -gammaln(n + 1)
-                + gammaln(m1)
-                - gammaln(n + 1)
-                - gammaln(m1 - n)
-                + gammaln(m2 + n)
-                - gammaln(m2)
-            )
-            prefactors = tuple(float(v) for v in logc)
-        derived = cls(a1=a1, a2=a2, log_prefactors=prefactors)
-        assert derived.a1 >= m1 > 0.0 or not math.isfinite(m1)
-        assert derived.a2 >= m1 * m2 > 0.0 or not (math.isfinite(m1) and math.isfinite(m2))
-        return derived
 
 
 def _contour_pieces(k: float, mean_snr: float, s):
@@ -205,74 +166,121 @@ def mgf(p: IftrParams, s):
     return _finalize(np.exp(exponent), s)
 
 
+_MAX_SUM_TERMS = 400
+
+
 def _integer_shape(value: float) -> int | None:
     if math.isfinite(value) and abs(value - round(value)) < 1e-9 and round(value) >= 1:
         return int(round(value))
     return None
 
 
-def _finite_sum_mgf(k, delta, m_int, m_other, p_int, p_other, mean_snr, s):
-    """Finite-sum MGF with the integer shape attached to the ray of power
-    ratio ``p_int``; the two orderings realize the labeling symmetry."""
-    a_frac, log_b, s_arr = _contour_pieces(k, mean_snr, s)
-    a_flat = np.atleast_1d(a_frac).ravel()
-    log_b_flat = np.atleast_1d(log_b).ravel()
-    m1, m2 = float(m_int), float(m_other)
-    cross = m1 * p_other + m2 * p_int  # symmetric bracket rate coefficient
-    bracket = m1 * m2 - cross * a_flat
-    lead = m1 - p_int * a_flat
+@dataclass(frozen=True)
+class _IntegerShapeForm:
+    """The finite sum behind the integer-shape MGF, PDF/CDF and exact BER.
 
-    n = np.arange(m_int)
-    logc = (
-        -gammaln(n + 1)
-        + gammaln(m1)
-        - gammaln(n + 1)
-        - gammaln(m1 - n)
-        + gammaln(m2 + n)
-        - gammaln(m2)
-    )
-    # 2n log(K Delta A / 2) - (m2 + n) log(bracket), accumulated at scaled
-    # magnitude; all terms are positive for real s <= 0.
-    half_kda = 0.5 * k * delta * a_flat
-    vanished = half_kda == 0.0
-    log_half = np.log(np.where(vanished, 1.0, half_kda))
-    log_terms = (
-        logc[:, None]
-        + 2.0 * n[:, None] * log_half[None, :]
-        - (m2 + n)[:, None] * np.log(bracket)[None, :]
-    )
-    # Only the n = 0 summand survives where the cross-ray factor vanishes.
-    dead = vanished[None, :] & (n[:, None] > 0)
-    shift = np.max(np.where(dead, -np.inf, log_terms.real), axis=0)
-    total = np.sum(np.where(dead, 0.0, np.exp(log_terms - shift[None, :])), axis=0)
-    log_pref = (
-        log_b_flat
-        + m1 * math.log(m1)
-        + m2 * math.log(m2)
-        + (m2 - m1) * np.log(lead)
-    )
-    values = np.exp(log_pref + shift) * total
-    return _finalize(values.reshape(np.shape(s_arr)), s)
+    With the integer shape m_A on the ray of power ratio p_A and the other
+    shape m_B on the ray of power ratio p_B,
+
+        M(s) = sum_n exp(c_n) (-s)^(2n) prod_i (lam_i - s)^(-b_n,i),
+
+    over n = 0..m_A - 1 (n = 0 alone when K Delta = 0), with the positive
+    rates lam = (1 + K)/gbar (1, m_A/a_1, m_A m_B/a_2), a_1 = m_A + p_A,
+    a_2 = m_A p_B + m_B p_A + m_A m_B, and b_n = (n + 1 - m_A, m_A - m_B,
+    m_B + n).  Summand n of the PDF is exp(c_n) Phi_2(b_n; 1; -lam x), and
+    its Q-function average is a Lauricella F_D term.
+    """
+
+    m_int: int
+    m_other: float
+    p_int: float
+    p_other: float
+    log_coeff: np.ndarray  # c_n
+    rates: np.ndarray  # lam
+    exponents: np.ndarray  # rows b_n
+
+    @classmethod
+    def from_split(cls, p: IftrParams, m_int: int, m_other: float, p_int: float, p_other: float):
+        """The form with ``m_int`` attached to the ray of power ratio
+        ``p_int``; the two orderings realize the labeling symmetry."""
+        k, gbar = p.k, p.mean_snr
+        mA, mB = float(m_int), float(m_other)
+        a1 = mA + p_int
+        a2 = mA * p_other + mB * p_int + mA * mB
+        rates = np.array(
+            [
+                (1.0 + k) / gbar,
+                mA * (1.0 + k) / (a1 * gbar),
+                mA * mB * (1.0 + k) / (a2 * gbar),
+            ]
+        )
+        n = np.arange(m_int if p.delta > 0.0 else 1)
+        log_coeff = (
+            math.log1p(k)
+            - math.log(gbar)
+            + mA * math.log(mA)
+            + mB * math.log(mB)
+            + (mB - mA) * math.log(a1)
+            - gammaln(n + 1)
+            + gammaln(mA)
+            - gammaln(n + 1)
+            - gammaln(mA - n)
+            + gammaln(mB + n)
+            - gammaln(mB)
+            - (mB + n) * math.log(a2)
+        )
+        if n.size > 1:
+            log_coeff += 2.0 * n * math.log(0.5 * k * p.delta)
+        exponents = np.column_stack((n + 1.0 - mA, np.full(n.size, mA - mB), mB + n))
+        return cls(m_int, mB, p_int, p_other, log_coeff, rates, exponents)
+
+    def mgf(self, s):
+        s_arr = np.asarray(s, dtype=complex)
+        flat = np.atleast_1d(s_arr).ravel()
+        n = np.arange(self.log_coeff.size)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_terms = (
+                self.log_coeff[:, None]
+                + np.where(n > 0, 2.0 * n * np.log(-flat), 0.0)
+                - self.exponents @ np.log(self.rates[:, None] - flat)
+            )
+        # Accumulated at scaled magnitude; all terms are positive for real s <= 0.
+        shift = np.max(log_terms.real, axis=0)
+        values = np.exp(shift) * np.sum(np.exp(log_terms - shift), axis=0)
+        return _finalize(values.reshape(s_arr.shape), s)
+
+
+def _integer_shape_form(p: IftrParams) -> _IntegerShapeForm | None:
+    """The finite-sum form led by m1, else by m2: the leading shape must be
+    a positive integer (within 1e-9) of at most 400 and the other finite."""
+    p1, p2 = p.ray_power_ratios()
+    for m_lead, m_other, p_lead, p_other in ((p.m1, p.m2, p1, p2), (p.m2, p.m1, p2, p1)):
+        m_int = _integer_shape(m_lead)
+        if m_int is not None and m_int <= _MAX_SUM_TERMS and math.isfinite(m_other):
+            return _IntegerShapeForm.from_split(p, m_int, m_other, p_lead, p_other)
+    return None
+
+
+def _require_integer_shape_form(p: IftrParams, route: str) -> _IntegerShapeForm:
+    form = _integer_shape_form(p)
+    if form is None:
+        raise ValidationError(
+            f"{route} needs a positive-integer fluctuation shape of at most "
+            f"{_MAX_SUM_TERMS} and a finite other shape; got m1={p.m1}, m2={p.m2}"
+        )
+    return form
 
 
 def mgf_integer_m1(p: IftrParams, s):
     """Finite-sum MGF for integer m1 (or, by the labeling symmetry, m2).
 
     Agrees with :func:`mgf` to better than 1e-9 relative; mainly a
-    cross-validation surface and the basis of the closed-form PDF/CDF.
+    cross-validation surface for the closed-form PDF/CDF and exact BER,
+    which share its summands.
     """
-    if not (math.isfinite(p.m1) and math.isfinite(p.m2)):
-        raise ValidationError("finite-sum MGF needs finite fluctuation shapes")
-    p1, p2 = p.ray_power_ratios()
-    m1_int = _integer_shape(p.m1)
-    if m1_int is not None:
-        return _finite_sum_mgf(p.k, p.delta, m1_int, p.m2, p1, p2, p.mean_snr, s)
-    m2_int = _integer_shape(p.m2)
-    if m2_int is not None:
-        return _finite_sum_mgf(p.k, p.delta, m2_int, p.m1, p2, p1, p.mean_snr, s)
-    raise ValidationError(
-        f"neither m1={p.m1} nor m2={p.m2} is a positive integer"
-    )
+    form = _require_integer_shape_form(p, "finite-sum MGF")
+    _contour_pieces(p.k, p.mean_snr, s)  # raises at the pole, as mgf does
+    return form.mgf(s)
 
 
 def convergence_abscissa(p: IftrParams) -> float:
@@ -396,53 +404,11 @@ def _closed_form_distribution(p: IftrParams, x_snr: np.ndarray, cfg, cumulative:
     Each summand is a three-rate confluent function evaluated through a
     term-wise Laplace inversion of the factorized MGF.
     """
-    if not (math.isfinite(p.m1) and math.isfinite(p.m2)):
-        raise ValidationError("closed-form route needs finite fluctuation shapes")
-    p1, p2 = p.ray_power_ratios()
-    m1_int = _integer_shape(p.m1)
-    if m1_int is not None:
-        m_int, m_other, p_int, p_other = m1_int, p.m2, p1, p2
-    else:
-        m2_int = _integer_shape(p.m2)
-        if m2_int is None:
-            raise ValidationError(
-                f"closed-form route needs an integer shape; got m1={p.m1}, m2={p.m2}"
-            )
-        m_int, m_other, p_int, p_other = m2_int, p.m1, p2, p1
-
-    k, gbar = p.k, p.mean_snr
-    mA, mB = float(m_int), float(m_other)
-    aA = mA + p_int
-    a2 = mA * p_other + mB * p_int + mA * mB
-    lam = np.array(
-        [
-            -(1.0 + k) / gbar,
-            -mA * (1.0 + k) / (aA * gbar),
-            -mA * mB * (1.0 + k) / (a2 * gbar),
-        ]
-    )
+    form = _require_integer_shape_form(p, "closed-form route")
     c = 2.0 if cumulative else 1.0
-    n_terms = 1 if (k == 0.0 or p.delta == 0.0) else m_int
     total = np.zeros(x_snr.shape, dtype=float)
-    for n in range(n_terms):
-        log_coeff = (
-            math.log1p(k)
-            - math.log(gbar)
-            + mA * math.log(mA)
-            + mB * math.log(mB)
-            + (mB - mA) * math.log(aA)
-            - gammaln(n + 1)
-            + gammaln(mA)
-            - gammaln(n + 1)
-            - gammaln(mA - n)
-            + gammaln(mB + n)
-            - gammaln(mB)
-            - (mB + n) * math.log(a2)
-        )
-        if n > 0:
-            log_coeff += 2.0 * n * math.log(0.5 * k * p.delta)
-        b = np.array([n + 1.0 - mA, mA - mB, mB + n])
-        phi = phi2_multi_rate(b, c, lam, x_snr, cfg)
+    for log_coeff, b in zip(form.log_coeff, form.exponents):
+        phi = phi2_multi_rate(b, c, -form.rates, x_snr, cfg)
         total = total + math.exp(log_coeff) * np.atleast_1d(np.asarray(phi))
     if cumulative:
         total = total * x_snr

@@ -132,8 +132,12 @@ def test_sample_dispatch():
     cfg = SimConfig(n_samples=100, seed=3, model="twdp")
     v = sample(cfg, k=5.0, delta=0.5, mean_power=1.0)
     assert v.shape == (100,)
+    # Parameters the model does not take are ignored.
+    np.testing.assert_array_equal(sample(cfg, k=5.0, delta=0.5, m=3.0, mean_power=1.0), v)
     with pytest.raises(ValidationError):
         sample(SimConfig(n_samples=10, seed=0, model="iftr"))
+    with pytest.raises(ValidationError, match="needs m"):
+        sample(SimConfig(n_samples=10, seed=0, model="rician-shadowed"), k=5.0, mean_power=1.0)
 
 
 def test_write_read_round_trip(tmp_path):

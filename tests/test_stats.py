@@ -6,11 +6,11 @@ import pytest
 from scipy.integrate import quad
 
 from iftr.laplace import LaplaceInversionConfig
-from iftr.params import IftrParams, ValidationError
+from iftr.linkperf import ber_exact, ber_mgf_quadrature
+from iftr.params import IftrParams, ModulationSpec, ValidationError
 from iftr.stats import (
     ApproximationWarning,
     DistributionDomain,
-    IftrDerived,
     cdf,
     cdf_asymptotic_slope,
     convergence_abscissa,
@@ -22,7 +22,7 @@ from iftr.stats import (
     rician_shadowed_pdf,
     twdp_limit_mgf,
 )
-from iftr.stats import _finite_sum_mgf
+from iftr.stats import _IntegerShapeForm, _integer_shape_form
 
 
 def random_params(rng, integer_m1=False, k_max=30.0):
@@ -59,6 +59,8 @@ def test_mgf_pole_proximity_error():
     p = IftrParams(k=1.0, delta=0.5, m1=2, m2=2, mean_snr=1.0)
     with pytest.raises(ValueError):
         mgf(p, 2.0)  # 1 + K - gbar s = 0
+    with pytest.raises(ValueError):
+        mgf_integer_m1(p, 2.0)
 
 
 def test_mgf_cross_form_random_sweep():
@@ -83,9 +85,40 @@ def test_finite_sum_labeling_symmetry():
     p = IftrParams(k=9.0, delta=0.6, m1=3, m2=5, mean_snr=2.0)
     p1, p2 = p.ray_power_ratios()
     for s in (-0.5, -3.0):
-        a = _finite_sum_mgf(p.k, p.delta, 3, 5.0, p1, p2, p.mean_snr, s)
-        b = _finite_sum_mgf(p.k, p.delta, 5, 3.0, p2, p1, p.mean_snr, s)
+        a = _IntegerShapeForm.from_split(p, 3, 5.0, p1, p2).mgf(s)
+        b = _IntegerShapeForm.from_split(p, 5, 3.0, p2, p1).mgf(s)
         assert a == pytest.approx(b, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "m1, m2, lead",
+    [
+        (2 + 5e-10, 2.5, 2),  # within 1e-9 of an integer counts as one
+        (500.0, 3.0, 3),  # m1 beyond the 400-term cap: m2 leads
+        (500.0, 2.5, None),  # no shape qualifies
+    ],
+)
+def test_one_integer_shape_rule_for_every_finite_sum_route(m1, m2, lead):
+    p = IftrParams(k=5.0, delta=0.5, m1=m1, m2=m2, mean_snr=2.0)
+    bpsk = ModulationSpec.bpsk()
+    s = np.array([-0.1, -1.0, -10.0]) / p.mean_snr
+    x = np.array([0.05, 0.5, 2.0, 6.0])
+    form = _integer_shape_form(p)
+    if lead is None:
+        assert form is None
+        with pytest.raises(ValidationError, match="400"):
+            mgf_integer_m1(p, s)
+        with pytest.raises(ValidationError, match="400"):
+            cdf(p, x, method="closed-form")
+        with pytest.warns(UserWarning, match="at most 400"):
+            assert ber_exact(p, bpsk).method == "mgf-quadrature"
+        return
+    assert form.m_int == lead
+    np.testing.assert_allclose(mgf_integer_m1(p, s), mgf(p, s), rtol=1e-9)
+    np.testing.assert_allclose(cdf(p, x, method="closed-form"), cdf(p, x), rtol=1e-8)
+    exact = ber_exact(p, bpsk)
+    assert exact.method == "lauricella-exact"
+    assert exact.value == pytest.approx(ber_mgf_quadrature(p, bpsk).value, rel=1e-9)
 
 
 def test_mgf_rejects_one_sided_frozen_shape_with_delta():
@@ -215,7 +248,7 @@ def test_rician_shadowed_pdf_normalizes():
 
 
 # ---------------------------------------------------------------------------
-# Asymptotic slope and derived constants
+# Asymptotic slope
 # ---------------------------------------------------------------------------
 
 def test_slope_k_zero():
@@ -239,17 +272,6 @@ def test_slope_against_cdf_oracle():
     assert cdf(p, x) / x == pytest.approx(slope, rel=1e-2)
     x = 1e-5 * p.mean_snr
     assert cdf(p, x) / x == pytest.approx(slope, rel=3e-4)
-
-
-def test_derived_constants_invariants():
-    rng = np.random.default_rng(55)
-    for _ in range(100):
-        p = random_params(rng)
-        d = IftrDerived.from_params(p)
-        assert d.a1 >= p.m1
-        assert d.a2 >= p.m1 * p.m2
-    d = IftrDerived.from_params(IftrParams(k=4.0, delta=0.5, m1=3, m2=2.5))
-    assert len(d.log_prefactors) == 3
 
 
 def test_contour_autosizing_warns_when_unresolvable():
