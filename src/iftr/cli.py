@@ -32,7 +32,6 @@ from .linkperf import (
     ber_asymptotic,
     ber_exact,
     ber_mgf_quadrature,
-    ber_monte_carlo,
     outage,
     outage_asymptotic,
 )
@@ -98,15 +97,20 @@ def _provenance(args, command: str) -> str:
     return "# " + json.dumps(doc, sort_keys=True, default=str)
 
 
-def _write_csv(args, header: str, rows, command: str) -> None:
-    lines = [_provenance(args, command), header]
-    lines.extend(rows)
+def _write_csv(args, command: str, grid_name: str, grid, cols: dict) -> int:
+    """Provenance line, header, then one row per grid point: the abscissa
+    followed by each column's value."""
+    lines = [_provenance(args, command), ",".join([grid_name, *cols])]
+    lines.extend(
+        ",".join([_fmt(x)] + [_fmt(col[i]) for col in cols.values()]) for i, x in enumerate(grid)
+    )
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return EXIT_OK
 
 
 def _fmt(value: float) -> str:
@@ -156,13 +160,7 @@ def _eval_preset(args) -> int:
             cols[name] = cdf(p, grid, cfg=cfg)
     else:
         raise ValidationError(f"eval preset must be fig1|fig2|fig3, got {args.preset!r}")
-    header = "x," + ",".join(cols)
-    rows = [
-        ",".join([_fmt(x)] + [_fmt(col[i]) for col in cols.values()])
-        for i, x in enumerate(grid)
-    ]
-    _write_csv(args, header, rows, "eval")
-    return EXIT_OK
+    return _write_csv(args, "eval", "x", grid, cols)
 
 
 def cmd_eval(args) -> int:
@@ -184,9 +182,7 @@ def cmd_eval(args) -> int:
         values = cdf(p, grid, domain=domain)
         if args.quantity.startswith("ccdf"):
             values = 1.0 - values
-    rows = [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(grid, values)]
-    _write_csv(args, "x,value", rows, "eval")
-    return EXIT_OK
+    return _write_csv(args, "eval", "x", grid, {"value": values})
 
 
 def cmd_sample(args) -> int:
@@ -229,37 +225,29 @@ def _sweep_db(args) -> np.ndarray:
 def cmd_ber(args) -> int:
     mod = _modulation_from_args(args)
     db = _sweep_db(args)
+    # Mean SNR is a pure scale: each curve's asymptote falls as 1 / gbar, and
+    # the sampler applies gbar as its last multiply, so one unit-mean draw
+    # times gbar is exactly the draw at gbar.
     if args.preset == "fig4":
+        gbar = 10.0 ** (db / 10.0)
         cols = {}
         for m1 in FIG4_M1:
-            exact, asym = [], []
-            for g in 10.0 ** (db / 10.0):
-                p = IftrParams(k=15, delta=0.5, m1=m1, m2=2, mean_snr=g)
-                exact.append(ber_exact(p, mod).value)
-                asym.append(ber_asymptotic(p, mod).value)
-            cols[f"exact_m1_{m1}"] = exact
-            cols[f"asymptotic_m1_{m1}"] = asym
-        header = "gamma_bar_db," + ",".join(cols)
-        rows = [
-            ",".join([_fmt(d)] + [_fmt(col[i]) for col in cols.values()])
-            for i, d in enumerate(db)
-        ]
-        _write_csv(args, header, rows, "ber")
-        return EXIT_OK
-    base = _params_from_args(args)
-    route = ber_exact if _integer_shape_form(base) is not None else ber_mgf_quadrature
-    rows = []
-    for d in db:
-        p = base.with_mean_snr(10.0 ** (d / 10.0))
-        exact = route(p, mod).value
-        asym = ber_asymptotic(p, mod).value
-        fields = [_fmt(d), _fmt(exact), _fmt(asym)]
-        if args.monte_carlo:
-            fields.append(_fmt(ber_monte_carlo(p, mod, args.monte_carlo, args.seed).value))
-        rows.append(",".join(fields))
-    header = "gamma_bar_db,exact,asymptotic" + (",monte_carlo" if args.monte_carlo else "")
-    _write_csv(args, header, rows, "ber")
-    return EXIT_OK
+            unit = IftrParams(k=15, delta=0.5, m1=m1, m2=2, mean_snr=1.0)
+            cols[f"exact_m1_{m1}"] = [ber_exact(unit.with_mean_snr(g), mod).value for g in gbar]
+            cols[f"asymptotic_m1_{m1}"] = ber_asymptotic(unit, mod).value / gbar
+        return _write_csv(args, "ber", "gamma_bar_db", db, cols)
+    unit = _params_from_args(args).with_mean_snr(1.0)
+    gbar = [10.0 ** (d / 10.0) for d in db]
+    route = ber_exact if _integer_shape_form(unit) is not None else ber_mgf_quadrature
+    asym = ber_asymptotic(unit, mod).value
+    cols = {
+        "exact": [route(unit.with_mean_snr(g), mod).value for g in gbar],
+        "asymptotic": [asym / g for g in gbar],
+    }
+    if args.monte_carlo:
+        snr = sample_iftr(unit, SimConfig(n_samples=args.monte_carlo, seed=args.seed, output="snr"))
+        cols["monte_carlo"] = [mod.cep(snr * g).mean() for g in gbar]
+    return _write_csv(args, "ber", "gamma_bar_db", db, cols)
 
 
 def cmd_outage(args) -> int:
@@ -271,25 +259,18 @@ def cmd_outage(args) -> int:
             for g in 10.0 ** (db / 10.0):
                 vals.append(outage(IftrParams(mean_snr=g, **kw), args.Rs))
             cols[name] = vals
-        header = "gamma_bar_db," + ",".join(cols)
-        rows = [
-            ",".join([_fmt(d)] + [_fmt(col[i]) for col in cols.values()])
-            for i, d in enumerate(db)
-        ]
-        _write_csv(args, header, rows, "outage")
-        return EXIT_OK
-    base = _params_from_args(args)
-    rows = []
-    for d in db:
-        p = base.with_mean_snr(10.0 ** (d / 10.0))
-        fields = [_fmt(d), _fmt(outage(p, args.Rs)), _fmt(outage_asymptotic(p, args.Rs))]
-        if args.monte_carlo:
-            snr = sample_iftr(p, SimConfig(n_samples=args.monte_carlo, seed=args.seed, output="snr"))
-            fields.append(_fmt(float(np.mean(snr < 2.0 ** args.Rs - 1.0))))
-        rows.append(",".join(fields))
-    header = "gamma_bar_db,exact,asymptotic" + (",monte_carlo" if args.monte_carlo else "")
-    _write_csv(args, header, rows, "outage")
-    return EXIT_OK
+        return _write_csv(args, "outage", "gamma_bar_db", db, cols)
+    unit = _params_from_args(args).with_mean_snr(1.0)
+    gbar = [10.0 ** (d / 10.0) for d in db]
+    asym = outage_asymptotic(unit, args.Rs)
+    cols = {
+        "exact": [outage(unit.with_mean_snr(g), args.Rs) for g in gbar],
+        "asymptotic": [asym / g for g in gbar],
+    }
+    if args.monte_carlo:
+        snr = sample_iftr(unit, SimConfig(n_samples=args.monte_carlo, seed=args.seed, output="snr"))
+        cols["monte_carlo"] = [np.mean(snr * g < 2.0 ** args.Rs - 1.0) for g in gbar]
+    return _write_csv(args, "outage", "gamma_bar_db", db, cols)
 
 
 def cmd_fit(args) -> int:
@@ -406,7 +387,7 @@ def main(argv=None) -> int:
     try:
         args = ap.parse_args(argv)
         return args.func(args)
-    except (ValidationError, ValueError) as exc:
+    except (ValidationError, ValueError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ConvergenceError as exc:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .laplace import LaplaceInversionConfig, clamp_counts, euler_contour
+from .laplace import LaplaceInversionConfig, _clamp_cdf, clamp_counts, euler_contour
 from .params import IftrParams, ValidationError
 from .stats import DistributionDomain, mgf
 from .specfun import ConvergenceError
@@ -57,15 +57,12 @@ class EmpiricalCdf:
     """Sorted empirical distribution points (x strictly increasing > 0,
     F nondecreasing in (0, 1], at least 8 of them).
 
-    ``normalized`` records that abscissae were scaled by their mean power,
-    in which case the model scale is pinned to 1 unless a fit explicitly
-    frees it.
+    The model scale is pinned to 1 unless ``FitConfig.fit_scale`` frees it.
     """
 
     x: np.ndarray
     F: np.ndarray
     domain: DistributionDomain = DistributionDomain.SNR
-    normalized: bool = True
 
     def __post_init__(self) -> None:
         x = np.asarray(self.x, dtype=float)
@@ -173,7 +170,7 @@ class _CdfEvaluator:
         self.n_evals += 1
         fvals = mgf(p, -self.flat_nodes) / self.flat_nodes
         values, _ = self._finish(fvals.reshape(self.nodes.shape))
-        return np.clip(values, 0.0, 1.0)
+        return _clamp_cdf(values)
 
 
 def _family_spec(family: str, fit_scale: bool, bounds: dict):
@@ -379,7 +376,6 @@ def empirical_cdf_from_samples(
     n_points: int = 40,
     p_min: float | None = None,
     p_max: float = 0.995,
-    normalized: bool = True,
 ) -> EmpiricalCdf:
     """Reduce raw samples to an empirical CDF on a quantile grid.
 
@@ -397,10 +393,10 @@ def empirical_cdf_from_samples(
     keep = np.concatenate(([True], np.diff(x) > 0.0))
     x = x[keep]
     F = np.searchsorted(s, x, side="right") / n
-    return EmpiricalCdf(x=x, F=F, domain=domain, normalized=normalized)
+    return EmpiricalCdf(x=x, F=F, domain=domain)
 
 
-def load_empirical_cdf(path, domain=DistributionDomain.SNR, normalized: bool = True) -> EmpiricalCdf:
+def load_empirical_cdf(path, domain=DistributionDomain.SNR) -> EmpiricalCdf:
     """Read a two-column CSV with header ``x,cdf`` or ``x_db,cdf``.
 
     A dB abscissa column converts as ``x = 10^(x_db / 10)``.  Parse
@@ -437,7 +433,7 @@ def load_empirical_cdf(path, domain=DistributionDomain.SNR, normalized: bool = T
             f"{path}: line {rows[1 + bad + 1][0]}: cdf decreases at this row"
         )
     try:
-        return EmpiricalCdf(x=x_arr, F=f_arr, domain=domain, normalized=normalized)
+        return EmpiricalCdf(x=x_arr, F=f_arr, domain=domain)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 

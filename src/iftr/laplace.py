@@ -213,15 +213,15 @@ def laplace_invert_cdf(transform, x, cfg: LaplaceInversionConfig | None = None):
     def integrand(s):
         return transform(s) / s
 
-    values = _invert(integrand, x, cfg)
-    low = values < 0.0
-    high = values > 1.0
-    if low.any():
-        clamp_counts["cdf_below_zero"] += int(low.sum())
-    if high.any():
-        clamp_counts["cdf_above_one"] += int(high.sum())
-    values = np.clip(values, 0.0, 1.0)
+    values = _clamp_cdf(_invert(integrand, x, cfg))
     return values if np.ndim(x) else float(values[0])
+
+
+def _clamp_cdf(values: np.ndarray) -> np.ndarray:
+    """Clip inverted CDF values to [0, 1], tallying clamps in ``clamp_counts``."""
+    clamp_counts["cdf_below_zero"] += int(np.count_nonzero(values < 0.0))
+    clamp_counts["cdf_above_one"] += int(np.count_nonzero(values > 1.0))
+    return np.clip(values, 0.0, 1.0)
 
 
 def phi2_multi_rate(b, c, rates, x, cfg: LaplaceInversionConfig | None = None):

@@ -4,10 +4,9 @@ The moment generating function is available in closed form for arbitrary
 real fluctuation shapes; when the shape attached to one ray is a positive
 integer it collapses to a finite sum of elementary terms.  Densities and
 distribution functions are obtained by numerically inverting the MGF on a
-Bromwich contour (the default, valid for any shapes), or -- for integer
-shapes -- through the confluent-hypergeometric closed form whose terms are
-themselves inverted factor by factor.  The two routes cross-validate each
-other.
+Bromwich contour: the general MGF by default (valid for any shapes), or
+-- for integer shapes -- the finite-sum MGF (the closed-form route), on
+the same contour.  The two routes cross-validate each other.
 
 Frozen fluctuations are requested with ``m = math.inf``: both shapes
 infinite gives the two-wave-with-diffuse-power (TWDP) limit, additionally
@@ -21,6 +20,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 from scipy.special import gammaln
@@ -30,7 +30,6 @@ from .laplace import (
     laplace_invert_cdf,
     laplace_invert_density,
     log1p_c,
-    phi2_multi_rate,
 )
 from .params import IftrParams, ValidationError
 from .specfun import hyp2f1_ln, kummer_1f1_ln, log_i0
@@ -74,7 +73,7 @@ def _as_domain(domain) -> DistributionDomain:
 
 
 def _contour_pieces(k: float, mean_snr: float, s):
-    """(A, log B, s as array) for the rational contour kernels.
+    """(A, log B) for the rational contour kernels.
 
     ``A = gbar s / (1 + K - gbar s)`` and ``B = (1 + K) / (1 + K - gbar s)``.
     Raises on pole proximity.
@@ -86,7 +85,7 @@ def _contour_pieces(k: float, mean_snr: float, s):
         raise ValueError(f"MGF pole proximity: |1 + K - gbar s| < {POLE_TOLERANCE:g}")
     a_frac = t / denom
     log_b = math.log1p(k) - np.log(denom)
-    return a_frac, log_b, s_arr
+    return a_frac, log_b
 
 
 def _finalize(values: np.ndarray, s) -> np.ndarray | complex | float:
@@ -101,23 +100,46 @@ def _finalize(values: np.ndarray, s) -> np.ndarray | complex | float:
     return values
 
 
-def _check_shapes_supported(p: IftrParams) -> None:
-    inf1 = p.m1 == math.inf
-    inf2 = p.m2 == math.inf
-    if p.delta > 0.0 and (inf1 != inf2):
+def _add_specular_log(p: IftrParams, exponent, a_frac):
+    """``exponent`` plus the log of the MGF's specular factor at
+    ``A = gbar s / (1 + K - gbar s)``.
+
+    The one place that tells frozen shapes from finite ones.  Frozen rays
+    give exp(K A) I0(Delta K A); otherwise each ray contributes its Gamma
+    factor (1 - p_i A / m_i)^(-m_i), and two rays couple through
+    2F1(m1, m2; 1; z).
+    """
+    if p.delta > 0.0 and (p.m1 == math.inf) != (p.m2 == math.inf):
         raise NotImplementedError(
             "frozen fluctuation on only one ray with delta > 0 has no closed "
             "MGF here; freeze both shapes or keep both finite"
         )
+    if p.m1 == math.inf and (p.m2 == math.inf or p.delta == 0.0):
+        exponent = exponent + p.k * a_frac
+        if p.delta > 0.0:
+            exponent = exponent + log_i0(p.delta * p.k * a_frac)
+        return exponent
+    p1, p2 = p.ray_power_ratios()
+    m1 = p.m1
+    # With delta == 0 the weaker-ray factor is identically 1, so an infinite
+    # m2 is inert; substitute a benign finite value for the arithmetic.
+    m2 = 1.0 if (p2 == 0.0 and p.m2 == math.inf) else p.m2
+    if p1 > 0.0:
+        exponent = exponent - m1 * log1p_c(-(p1 / m1) * a_frac)
+    if p2 > 0.0:
+        exponent = exponent - m2 * log1p_c(-(p2 / m2) * a_frac)
+    if p1 > 0.0 and p2 > 0.0:
+        f1 = m1 - p1 * a_frac
+        f2 = m2 - p2 * a_frac
+        z = (p1 * p2) * a_frac * a_frac / (f1 * f2)
+        one_minus_z = (m1 * m2 - (m1 * p2 + m2 * p1) * a_frac) / (f1 * f2)
+        exponent = exponent + hyp2f1_ln(m1, m2, 1.0, z, one_minus_z=one_minus_z)
+    return exponent
 
 
 def twdp_limit_mgf(k: float, delta: float, mean_snr: float, s):
     """MGF of the frozen-fluctuation (TWDP) limit: B exp(K A) I0(Delta K A)."""
-    a_frac, log_b, s_arr = _contour_pieces(k, mean_snr, s)
-    exponent = log_b + k * a_frac
-    if delta > 0.0 and k > 0.0:
-        exponent = exponent + log_i0(delta * k * a_frac)
-    return _finalize(np.exp(exponent), s)
+    return mgf(IftrParams(k, delta, math.inf, math.inf, mean_snr), s)
 
 
 def rice_mgf(k: float, mean_snr: float, s):
@@ -127,7 +149,7 @@ def rice_mgf(k: float, mean_snr: float, s):
 
 def rician_shadowed_mgf(k: float, m: float, mean_snr: float, s):
     """Rician-shadowed MGF (single ray with Gamma fluctuation of shape m)."""
-    a_frac, log_b, s_arr = _contour_pieces(k, mean_snr, s)
+    a_frac, log_b = _contour_pieces(k, mean_snr, s)
     if m == math.inf:
         return rice_mgf(k, mean_snr, s)
     exponent = log_b - m * log1p_c(-(k / m) * a_frac)
@@ -142,28 +164,8 @@ def mgf(p: IftrParams, s):
     M(0) = 1 exactly.  Shapes set to ``math.inf`` route to the matching
     frozen-fluctuation closed form.
     """
-    _check_shapes_supported(p)
-    if p.m1 == math.inf and (p.m2 == math.inf or p.delta == 0.0):
-        return twdp_limit_mgf(p.k, p.delta, p.mean_snr, s)
-    p1, p2 = p.ray_power_ratios()
-    m1 = p.m1
-    # With delta == 0 the weaker-ray factor is identically 1, so an infinite
-    # m2 is inert; substitute a benign finite value for the arithmetic.
-    m2 = 1.0 if (p2 == 0.0 and p.m2 == math.inf) else p.m2
-    a_frac, log_b, s_arr = _contour_pieces(p.k, p.mean_snr, s)
-
-    exponent = log_b
-    if p1 > 0.0:
-        exponent = exponent - m1 * log1p_c(-(p1 / m1) * a_frac)
-    if p2 > 0.0:
-        exponent = exponent - m2 * log1p_c(-(p2 / m2) * a_frac)
-    if p1 > 0.0 and p2 > 0.0:
-        f1 = m1 - p1 * a_frac
-        f2 = m2 - p2 * a_frac
-        z = (p1 * p2) * a_frac * a_frac / (f1 * f2)
-        one_minus_z = (m1 * m2 - (m1 * p2 + m2 * p1) * a_frac) / (f1 * f2)
-        exponent = exponent + hyp2f1_ln(m1, m2, 1.0, z, one_minus_z=one_minus_z)
-    return _finalize(np.exp(exponent), s)
+    a_frac, log_b = _contour_pieces(p.k, p.mean_snr, s)
+    return _finalize(np.exp(_add_specular_log(p, log_b, a_frac)), s)
 
 
 _MAX_SUM_TERMS = 400
@@ -274,9 +276,8 @@ def _require_integer_shape_form(p: IftrParams, route: str) -> _IntegerShapeForm:
 def mgf_integer_m1(p: IftrParams, s):
     """Finite-sum MGF for integer m1 (or, by the labeling symmetry, m2).
 
-    Agrees with :func:`mgf` to better than 1e-9 relative; mainly a
-    cross-validation surface for the closed-form PDF/CDF and exact BER,
-    which share its summands.
+    Agrees with :func:`mgf` to better than 1e-9 relative.  The closed-form
+    PDF/CDF invert this sum, and the exact BER averages its summands.
     """
     form = _require_integer_shape_form(p, "finite-sum MGF")
     _contour_pieces(p.k, p.mean_snr, s)  # raises at the pole, as mgf does
@@ -304,15 +305,24 @@ def _snr_abscissae(p, x, domain):
     return x_arr
 
 
-def _inversion_config(p: IftrParams, x_snr: np.ndarray, cfg):
-    """Size the contour to the transform scale when no config was given.
+def _inversion_route(p: IftrParams, x_snr: np.ndarray, cfg, method: str):
+    """(transform s -> M(-s), contour config) shared by :func:`pdf` and :func:`cdf`.
 
+    ``method='inversion'`` inverts :func:`mgf`; ``method='closed-form'``
+    inverts the integer-shape finite sum.  Both run on the same contour.
     The MGF varies on |s| ~ (1 + K) / mean_snr; a contour for abscissa x
     reaches |s| ~ pi * terms / x, so resolving a sharply concentrated
     (large K) distribution needs terms growing like x (1 + K) / mean_snr.
-    An explicit config is honored as-is; either way a warning flags
+    When no config is given the node count is sized to that demand; an
+    explicit config is honored as-is.  Either way a warning flags
     abscissae beyond what the node cap can resolve.
     """
+    if method == "inversion":
+        transform_mgf = partial(mgf, p)
+    elif method == "closed-form":
+        transform_mgf = _require_integer_shape_form(p, "closed-form route").mgf
+    else:
+        raise ValueError(f"unknown method {method!r}")
     demand = float(np.max(x_snr)) * (1.0 + p.k) / p.mean_snr
     needed = int(math.ceil(2.0 * demand / math.pi)) + 16
     if cfg is None:
@@ -321,11 +331,11 @@ def _inversion_config(p: IftrParams, x_snr: np.ndarray, cfg):
         warnings.warn(
             f"contour with {cfg.terms} nodes cannot resolve the transform "
             f"scale (x (1+K)/scale = {demand:.3g}); deep-saturation values "
-            "may be inflated -- raise terms or use the closed-form route",
+            "may be inflated -- raise terms",
             ApproximationWarning,
             stacklevel=3,
         )
-    return cfg
+    return (lambda s: transform_mgf(-s)), cfg
 
 
 def pdf(p: IftrParams, x, domain=DistributionDomain.SNR, cfg: LaplaceInversionConfig | None = None, method: str = "inversion"):
@@ -333,9 +343,9 @@ def pdf(p: IftrParams, x, domain=DistributionDomain.SNR, cfg: LaplaceInversionCo
     mean squared envelope).
 
     ``method='inversion'`` (default) inverts the general MGF and works for
-    any real shapes; ``method='closed-form'`` uses the integer-shape
-    confluent-hypergeometric form as an independent route.  ``x = 0``
-    returns a one-sided extrapolation from 1e-8 * scale and warns.
+    any real shapes; ``method='closed-form'`` inverts the integer-shape
+    finite-sum MGF as an independent route.  ``x = 0`` returns a one-sided
+    extrapolation from 1e-8 * scale and warns.
     """
     domain = _as_domain(domain)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -350,16 +360,8 @@ def pdf(p: IftrParams, x, domain=DistributionDomain.SNR, cfg: LaplaceInversionCo
         )
     eps0 = 1e-8 * p.mean_snr
     x_snr = _snr_abscissae(p, np.where(at_zero, math.sqrt(eps0) if domain is DistributionDomain.ENVELOPE else eps0, x_arr), domain)
-
-    if method == "closed-form":
-        vals = _closed_form_distribution(p, x_snr, cfg, cumulative=False)
-    elif method == "inversion":
-        vals = laplace_invert_density(
-            lambda s: mgf(p, -s), x_snr, _inversion_config(p, x_snr, cfg)
-        )
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    vals = np.atleast_1d(np.asarray(vals, dtype=float))
+    transform, cfg = _inversion_route(p, x_snr, cfg, method)
+    vals = laplace_invert_density(transform, x_snr, cfg)
     if domain is DistributionDomain.ENVELOPE:
         r = np.where(at_zero, math.sqrt(eps0), x_arr)
         vals = 2.0 * r * vals
@@ -383,68 +385,23 @@ def cdf(p: IftrParams, x, domain=DistributionDomain.SNR, cfg: LaplaceInversionCo
     out = np.zeros(x_arr.shape, dtype=float)
     if positive.any():
         x_snr = _snr_abscissae(p, x_arr[positive], domain)
-        if method == "closed-form":
-            vals = _closed_form_distribution(p, x_snr, cfg, cumulative=True)
-        elif method == "inversion":
-            vals = laplace_invert_cdf(
-                lambda s: mgf(p, -s), x_snr, _inversion_config(p, x_snr, cfg)
-            )
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        vals = np.atleast_1d(np.asarray(vals, dtype=float))
+        transform, cfg = _inversion_route(p, x_snr, cfg, method)
+        vals = laplace_invert_cdf(transform, x_snr, cfg)
         order = np.argsort(x_snr, kind="stable")
         vals[order] = np.maximum.accumulate(vals[order])
         out[positive] = vals
     return out if np.ndim(x) else float(out[0])
 
 
-def _closed_form_distribution(p: IftrParams, x_snr: np.ndarray, cfg, cumulative: bool):
-    """Integer-shape confluent-hypergeometric route for the PDF/CDF.
-
-    Each summand is a three-rate confluent function evaluated through a
-    term-wise Laplace inversion of the factorized MGF.
-    """
-    form = _require_integer_shape_form(p, "closed-form route")
-    c = 2.0 if cumulative else 1.0
-    total = np.zeros(x_snr.shape, dtype=float)
-    for log_coeff, b in zip(form.log_coeff, form.exponents):
-        phi = phi2_multi_rate(b, c, -form.rates, x_snr, cfg)
-        total = total + math.exp(log_coeff) * np.atleast_1d(np.asarray(phi))
-    if cumulative:
-        total = total * x_snr
-        total = np.clip(total, 0.0, 1.0)
-    else:
-        total = np.maximum(total, 0.0)
-    return total
-
-
 def cdf_asymptotic_slope(p: IftrParams) -> float:
     """Coefficient c with F(x) ~ c x in the high-mean-SNR (deep fade) regime.
 
     The distribution has diversity order one; this is the exact leading
-    coefficient of the CDF at the origin.
+    coefficient of the CDF at the origin: the limit of -s M(s) as
+    s -> -inf, where A -> -1 and -s B -> (1 + K) / mean_snr.
     """
-    p1, p2 = p.ray_power_ratios()
-    log_val = math.log1p(p.k) - math.log(p.mean_snr)
-    if p.m1 == math.inf and (p.m2 == math.inf or p.delta == 0.0):
-        # Frozen limit: the shape factors tend to exp(-p_i) and the Gauss
-        # factor to I0(K Delta).
-        log_val += -p.k
-        if p.delta > 0.0:
-            log_val += float(np.real(log_i0(p.delta * p.k)))
-        return math.exp(log_val)
-    _check_shapes_supported(p)
-    if p1 > 0.0:
-        log_val += p.m1 * (math.log(p.m1) - math.log(p.m1 + p1))
-    if p2 > 0.0:
-        m2 = 1.0 if p.m2 == math.inf else p.m2
-        log_val += m2 * (math.log(m2) - math.log(m2 + p2))
-    if p1 > 0.0 and p2 > 0.0:
-        denom = (p.m1 + p1) * (p.m2 + p2)
-        z = p1 * p2 / denom
-        a2 = p.m1 * p2 + p.m2 * p1 + p.m1 * p.m2
-        log_val += float(np.real(hyp2f1_ln(p.m1, p.m2, 1.0, z, one_minus_z=a2 / denom)))
-    return math.exp(log_val)
+    log_val = _add_specular_log(p, math.log1p(p.k) - math.log(p.mean_snr), -1.0)
+    return math.exp(float(np.real(log_val)))
 
 
 def rician_shadowed_pdf(k: float, m: int, mean_snr: float, x):

@@ -10,7 +10,7 @@ import pytest
 
 import iftr
 from iftr.cli import main
-from iftr.linkperf import ber_mgf_quadrature
+from iftr.linkperf import ber_mgf_quadrature, ber_monte_carlo
 from iftr.params import ModulationSpec
 from iftr.sim import SimConfig, sample_iftr
 from iftr.params import IftrParams
@@ -96,30 +96,45 @@ def test_ber_sweep_k0_row(capsys):
     rc, out = run(
         capsys,
         ["ber", "--K", "0", "--m1", "1", "--m2", "1", "--db-start", "0",
-         "--db-stop", "12", "--db-step", "2"],
+         "--db-stop", "12", "--db-step", "2", "--monte-carlo", "2000", "--seed", "4"],
     )
     assert rc == 0
     header, rows = parse_csv(out)
-    assert header == ["gamma_bar_db", "exact", "asymptotic"]
+    assert header == ["gamma_bar_db", "exact", "asymptotic", "monte_carlo"]
     row10 = rows[rows[:, 0] == 10.0][0]
     want = 0.5 * (1.0 - math.sqrt(10.0 / 11.0))
     assert row10[1] == pytest.approx(want, rel=1e-9)
     assert row10[2] == pytest.approx(0.25 / 10.0, rel=1e-9)
+    # One unit-mean draw scaled per point equals a fresh draw at that point.
+    p = IftrParams(k=0, delta=0, m1=1, m2=1, mean_snr=10.0)
+    assert row10[3] == ber_monte_carlo(p, ModulationSpec.bpsk(), 2000, 4).value
 
 
 def test_outage_sweep_matches_library(capsys):
     rc, out = run(
         capsys,
         ["outage", "--K", "10", "--Delta", "0.9", "--m1", "2", "--m2", "8",
-         "--Rs", "2", "--db-start", "10", "--db-stop", "20", "--db-step", "5"],
+         "--Rs", "2", "--db-start", "10", "--db-stop", "20", "--db-step", "5",
+         "--monte-carlo", "2000", "--seed", "6"],
     )
     assert rc == 0
     header, rows = parse_csv(out)
-    assert header == ["gamma_bar_db", "exact", "asymptotic"]
-    from iftr.linkperf import outage
+    assert header == ["gamma_bar_db", "exact", "asymptotic", "monte_carlo"]
+    from iftr.linkperf import outage, outage_asymptotic
 
     p = IftrParams(k=10, delta=0.9, m1=2, m2=8, mean_snr=10.0 ** 1.5)
-    assert rows[rows[:, 0] == 15.0][0][1] == pytest.approx(outage(p, 2.0), rel=1e-9)
+    row15 = rows[rows[:, 0] == 15.0][0]
+    assert row15[1] == pytest.approx(outage(p, 2.0), rel=1e-9)
+    assert row15[2] == pytest.approx(outage_asymptotic(p, 2.0), rel=1e-13)
+    snr = sample_iftr(p, SimConfig(n_samples=2000, seed=6, output="snr"))
+    assert row15[3] == float(np.mean(snr < 3.0))
+
+
+def test_one_frozen_ray_with_delta_is_a_validation_exit(capsys):
+    rc = main(["eval", "--K", "5", "--Delta", "0.5", "--m1", "inf", "--m2", "2"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "frozen" in err
 
 
 def test_fig3_preset_curves_ordered(capsys):

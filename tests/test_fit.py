@@ -13,6 +13,8 @@ from iftr.fitting import (
     load_empirical_cdf,
     modified_ks,
 )
+from iftr.fitting import _CdfEvaluator
+from iftr.laplace import LaplaceInversionConfig, clamp_counts
 from iftr.params import IftrParams, ValidationError
 from iftr.sim import SimConfig, sample_iftr, sample_rice
 from iftr.stats import DistributionDomain
@@ -144,6 +146,18 @@ def test_from_samples_quantile_grid():
 # Fitting
 # ---------------------------------------------------------------------------
 
+def test_evaluator_clamps_are_counted():
+    # The exponential CDF saturates within the inversion wiggle at large x,
+    # so some values are clipped to 1; each clip shows in the counters.
+    x = np.linspace(0.5, 40.0, 10)
+    evaluator = _CdfEvaluator(EmpiricalCdf(x=x, F=np.linspace(0.05, 1.0, 10)), LaplaceInversionConfig())
+    before = clamp_counts["cdf_above_one"]
+    values = evaluator(IftrParams(k=0.0, delta=0.0, m1=1, m2=1, mean_snr=1.0))
+    clipped = clamp_counts["cdf_above_one"] - before
+    assert clipped > 0
+    assert clipped == np.count_nonzero(values == 1.0)
+
+
 def test_rice_recovery_within_ten_percent():
     k_true = 5.0
     env = sample_rice(k_true, 1.0, SimConfig(n_samples=10 ** 5, seed=77))
@@ -157,8 +171,6 @@ def test_iftr_fit_beats_truth_epsilon_and_nested(tmp_path):
     p_true = IftrParams(k=15, delta=0.9, m1=2, m2=10, mean_snr=1.0)
     snr = sample_iftr(p_true, SimConfig(n_samples=10 ** 5, seed=5, output="snr"))
     emp = empirical_cdf_from_samples(snr)
-    from iftr.fitting import _CdfEvaluator
-    from iftr.laplace import LaplaceInversionConfig
 
     evaluator = _CdfEvaluator(emp, LaplaceInversionConfig())
     eps_true = modified_ks(emp, lambda x: evaluator(p_true))

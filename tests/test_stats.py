@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import i0
 
 from iftr.laplace import LaplaceInversionConfig
 from iftr.linkperf import ber_exact, ber_mgf_quadrature
@@ -125,6 +126,8 @@ def test_mgf_rejects_one_sided_frozen_shape_with_delta():
     p = IftrParams(k=2.0, delta=0.5, m1=math.inf, m2=2.0)
     with pytest.raises(NotImplementedError):
         mgf(p, -1.0)
+    with pytest.raises(NotImplementedError):
+        cdf_asymptotic_slope(p)
 
 
 def test_mgf_complex_contour_magnitude_bound():
@@ -196,6 +199,17 @@ def test_closed_form_and_inversion_routes_agree():
     )
 
 
+def test_closed_form_route_on_concentrated_channel():
+    # K = 3000 concentrates the SNR around its mean; the closed-form route
+    # needs the same auto-sized contour as the inversion route there.
+    p = IftrParams(k=3000.0, delta=0.0, m1=300, m2=2, mean_snr=1.0)
+    x = np.array([0.8, 0.9, 1.0, 1.1])
+    np.testing.assert_allclose(
+        pdf(p, x, method="closed-form"), rician_shadowed_pdf(3000.0, 300, 1.0, x), rtol=1e-9
+    )
+    np.testing.assert_allclose(cdf(p, x, method="closed-form"), cdf(p, x), rtol=1e-8)
+
+
 def test_pdf_normalization_and_mean():
     rng = np.random.default_rng(33)
     for _ in range(3):
@@ -261,6 +275,13 @@ def test_slope_delta_zero_closed_form():
     p = IftrParams(k=k, delta=0.0, m1=m, m2=9.9, mean_snr=gbar)
     want = (1.0 + k) / gbar * m ** m / (m + k) ** m
     assert cdf_asymptotic_slope(p) == pytest.approx(want, rel=1e-12)
+
+
+def test_slope_frozen_limit():
+    for k, delta, gbar in ((15.0, 0.9, 3.0), (4.0, 0.0, 0.5), (40.0, 1.0, 2.0)):
+        p = IftrParams(k=k, delta=delta, m1=math.inf, m2=math.inf, mean_snr=gbar)
+        want = (1.0 + k) / gbar * math.exp(-k) * i0(k * delta)
+        assert cdf_asymptotic_slope(p) == pytest.approx(want, rel=1e-12)
 
 
 def test_slope_against_cdf_oracle():
