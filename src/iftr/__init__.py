@@ -25,14 +25,7 @@ from .laplace import (
     laplace_invert_density,
     phi2_multi_rate,
 )
-from .specfun import (
-    ConvergenceError,
-    bessel_i0,
-    bessel_i0e,
-    gauss_2f1,
-    kummer_1f1,
-    lauricella_fd3,
-)
+from .specfun import ConvergenceError
 from .stats import (
     ApproximationWarning,
     DistributionDomain,
@@ -67,11 +60,6 @@ __all__ = [
     "laplace_invert_cdf",
     "phi2_multi_rate",
     "ConvergenceError",
-    "gauss_2f1",
-    "kummer_1f1",
-    "bessel_i0",
-    "bessel_i0e",
-    "lauricella_fd3",
     "ApproximationWarning",
     "DistributionDomain",
     "mgf",

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .fitting import (
+    MODEL_FAMILIES,
     FitConfig,
     empirical_cdf_from_samples,
     fit,
@@ -370,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--from-samples", action="store_true", help="input is a sample dump; build the CDF from quantiles")
     sp.add_argument("--quantiles", type=int, default=40)
     sp.add_argument("--domain", default="snr", choices=("snr", "envelope"))
-    sp.add_argument("--model", default="iftr", choices=("iftr", "iftr-integer-m1", "rice", "twdp", "rician-shadowed"))
+    sp.add_argument("--model", default="iftr", choices=MODEL_FAMILIES)
     sp.add_argument("--compare", action="store_true", help="fit all families and emit a comparison document")
     sp.add_argument("--fit-scale", action="store_true", help="also fit the scale (non-normalized data)")
     sp.add_argument("--restarts", type=int, default=4)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .laplace import LaplaceInversionConfig, _clamp_cdf, clamp_counts, euler_contour
+from .laplace import DEFAULT_CONFIG, LaplaceInversionConfig, _clamp_cdf, clamp_counts, euler_contour
 from .params import IftrParams, ValidationError
 from .stats import DistributionDomain, mgf
 from .specfun import ConvergenceError
@@ -50,6 +50,9 @@ DEFAULT_BOUNDS = {
     "m": (0.05, 1e3),
     "omega": (1e-3, 1e3),
 }
+
+# Nelder-Mead stopping tolerance on epsilon.
+_FATOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -92,17 +95,15 @@ class EmpiricalCdf:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Family selection, search box, restart budget, tolerance and seed."""
+    """Family selection, search box, restart budget and seed."""
 
     model_family: str = "iftr"
     fit_scale: bool = False
     bounds: dict = field(default_factory=dict)
     restarts: int = 4
-    optimizer_tolerance: float = 1e-6
     seed: int = 0
     m1_grid: tuple = tuple(range(1, 61))
     max_evaluations: int = 4000
-    inversion: LaplaceInversionConfig = LaplaceInversionConfig()
 
     def __post_init__(self) -> None:
         if self.model_family not in MODEL_FAMILIES:
@@ -257,7 +258,7 @@ def _nelder_mead(fun, starts, boxes, cfg: FitConfig):
                 options={
                     "maxfev": cfg.max_evaluations,
                     "xatol": 1e-4,
-                    "fatol": 0.1 * cfg.optimizer_tolerance,
+                    "fatol": _FATOL,
                 },
             )
             trace.append({"start": list(map(float, theta0)), "epsilon": float(res.fun)})
@@ -328,46 +329,41 @@ def fit(emp: EmpiricalCdf, cfg: FitConfig) -> FitResult:
     their nested special cases and keep whichever candidate wins, so
     ``epsilon(iftr) <= epsilon(nested family)`` holds by construction.
     """
-    evaluator = _CdfEvaluator(emp, cfg.inversion)
+    evaluator = _CdfEvaluator(emp, DEFAULT_CONFIG)
     rng = np.random.default_rng(cfg.seed)
     clamps_before = dict(clamp_counts)
     if cfg.model_family in ("rice", "twdp", "rician-shadowed"):
         result = _run_family(emp, evaluator, cfg.model_family, cfg, rng)
-        result.diagnostics["clamp_counts"] = {
-            k: clamp_counts[k] - clamps_before[k] for k in clamp_counts
-        }
-        return result
-
-    # The integer-constrained family may only absorb embeddings that keep
-    # its shape contract: frozen (inf) shapes qualify, a continuous
-    # single-ray shape does not (the integer grid itself covers those).
-    if cfg.model_family == "iftr":
-        nested_families = ("rice", "twdp", "rician-shadowed")
     else:
-        nested_families = ("rice", "twdp")
-    nested = [_run_family(emp, evaluator, fam, cfg, rng) for fam in nested_families]
-    if cfg.model_family == "iftr":
-        own = _run_family(emp, evaluator, "iftr", cfg, rng)
-    else:
-        own = _run_integer_m1(emp, evaluator, cfg, rng)
-    candidates = [own] + [
-        FitResult(params=r.params, epsilon=r.epsilon, model_family=cfg.model_family, diagnostics={"embedded_from": r.model_family})
-        for r in nested
-    ]
-    best = min(candidates, key=lambda r: r.epsilon)
-    diagnostics = dict(own.diagnostics)
-    diagnostics["nested"] = {r.model_family: r.epsilon for r in nested}
-    if best is not own:
-        diagnostics["embedded_from"] = best.diagnostics.get("embedded_from")
-    diagnostics["clamp_counts"] = {
-        k: clamp_counts[k] - clamps_before[k] for k in clamp_counts
-    }
-    return FitResult(
-        params=best.params,
-        epsilon=best.epsilon,
-        model_family=cfg.model_family,
-        diagnostics=diagnostics,
-    )
+        # The integer-constrained family may only absorb embeddings that keep
+        # its shape contract: frozen (inf) shapes qualify, a continuous
+        # single-ray shape does not (the integer grid itself covers those).
+        if cfg.model_family == "iftr":
+            nested_families = ("rice", "twdp", "rician-shadowed")
+        else:
+            nested_families = ("rice", "twdp")
+        nested = [_run_family(emp, evaluator, fam, cfg, rng) for fam in nested_families]
+        if cfg.model_family == "iftr":
+            own = _run_family(emp, evaluator, "iftr", cfg, rng)
+        else:
+            own = _run_integer_m1(emp, evaluator, cfg, rng)
+        candidates = [own] + [
+            FitResult(params=r.params, epsilon=r.epsilon, model_family=cfg.model_family, diagnostics={"embedded_from": r.model_family})
+            for r in nested
+        ]
+        best = min(candidates, key=lambda r: r.epsilon)
+        diagnostics = dict(own.diagnostics)
+        diagnostics["nested"] = {r.model_family: r.epsilon for r in nested}
+        if best is not own:
+            diagnostics["embedded_from"] = best.diagnostics.get("embedded_from")
+        result = FitResult(
+            params=best.params,
+            epsilon=best.epsilon,
+            model_family=cfg.model_family,
+            diagnostics=diagnostics,
+        )
+    result.diagnostics["clamp_counts"] = {k: clamp_counts[k] - clamps_before[k] for k in clamp_counts}
+    return result
 
 
 def empirical_cdf_from_samples(

@@ -35,21 +35,15 @@ __all__ = [
     "euler_contour",
     "log1p_c",
     "clamp_counts",
-    "reset_clamp_counts",
 ]
 
 
 class ToleranceWarning(UserWarning):
-    """The internal error estimate exceeded the configured target."""
+    """The internal error estimate exceeded the precision target."""
 
 
 # Diagnostic counters for values nudged back into their valid range.
 clamp_counts = {"density_negative": 0, "cdf_below_zero": 0, "cdf_above_one": 0}
-
-
-def reset_clamp_counts() -> None:
-    for key in clamp_counts:
-        clamp_counts[key] = 0
 
 
 def log1p_c(w):
@@ -63,37 +57,29 @@ def log1p_c(w):
     return np.where(exact, w, out)
 
 
+# Relative accuracy aimed for on smooth transforms.
+_PRECISION_TARGET = 1e-9
+# Dimensionless Euler contour parameter; e^-shift bounds the aliasing error.
+# Capped at 24: beyond that the e^(shift/2) scale factor amplifies rounding
+# in the alternating sum faster than aliasing shrinks.
+_CONTOUR_SHIFT = min(max(-math.log(_PRECISION_TARGET) + 3.0, 14.0), 24.0)
+
+
 @dataclass(frozen=True)
 class LaplaceInversionConfig:
-    """Inversion engine selection and effort/accuracy knobs.
+    """Inversion engine selection and effort knob.
 
-    ``terms`` counts transform evaluations per abscissa (16..512);
-    ``precision_target`` is the relative accuracy aimed for on smooth
-    transforms, within (1e-14, 1e-2).
+    ``terms`` counts transform evaluations per abscissa (16..512).
     """
 
     method: str = "euler-summation"
     terms: int = 64
-    precision_target: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.method not in ("euler-summation", "fixed-talbot"):
             raise ValueError(f"unknown inversion method {self.method!r}")
         if not 16 <= self.terms <= 512:
             raise ValueError(f"terms must lie in [16, 512], got {self.terms}")
-        if not 1e-14 < self.precision_target < 1e-2:
-            raise ValueError(
-                f"precision_target must lie in (1e-14, 1e-2), got {self.precision_target}"
-            )
-
-    @property
-    def contour_shift(self) -> float:
-        """Dimensionless contour parameter; e^-shift bounds the aliasing error.
-
-        Capped at 24: beyond that the e^(shift/2) scale factor amplifies
-        rounding in the alternating sum faster than aliasing shrinks.
-        """
-        return min(max(-math.log(self.precision_target) + 3.0, 14.0), 24.0)
 
 
 DEFAULT_CONFIG = LaplaceInversionConfig()
@@ -112,7 +98,7 @@ def euler_contour(x: np.ndarray, cfg: LaplaceInversionConfig):
     ``(inverse values, relative error estimates)``.  Splitting the two
     steps lets callers evaluate many transforms on memoized nodes.
     """
-    a = cfg.contour_shift
+    a = _CONTOUR_SHIFT
     m_binom = min(15, cfg.terms // 4)
     n_base = cfg.terms - m_binom - 1
     n_nodes = n_base + m_binom + 1
@@ -176,10 +162,10 @@ def _invert(transform, x, cfg: LaplaceInversionConfig):
     worst = float(est.max())
     # The internal estimate is conservative by design; alarm only on a clear
     # order-of-magnitude miss.
-    if worst > 10.0 * cfg.precision_target:
+    if worst > 10.0 * _PRECISION_TARGET:
         warnings.warn(
             f"inversion error estimate {worst:.3g} exceeds target "
-            f"{cfg.precision_target:.3g}",
+            f"{_PRECISION_TARGET:.3g}",
             ToleranceWarning,
             stacklevel=3,
         )
@@ -190,7 +176,7 @@ def laplace_invert_density(transform, x, cfg: LaplaceInversionConfig | None = No
     """Invert ``transform`` (s -> M(-s)) to the density at abscissa(e) x > 0.
 
     Deterministic for a fixed configuration; emits :class:`ToleranceWarning`
-    when the internal estimate misses ``cfg.precision_target``.  Small
+    when the internal estimate misses the 1e-9 precision target.  Small
     negative excursions are clamped to zero and counted in
     ``clamp_counts['density_negative']``.
     """

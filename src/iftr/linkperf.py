@@ -29,7 +29,7 @@ from scipy.special import logsumexp
 from .params import IftrParams, ModulationSpec, ValidationError
 from .sim import SimConfig, sample_iftr
 from .stats import _MAX_SUM_TERMS, _integer_shape_form, cdf, cdf_asymptotic_slope, mgf
-from .specfun import _theta_errors, lauricella_fd3_ln, theta_quadrature_ln
+from .specfun import lauricella_fd3_ln, theta_quadrature_ln
 
 __all__ = [
     "BerResult",
@@ -79,10 +79,8 @@ def ber_exact(p: IftrParams, mod: ModulationSpec) -> BerResult:
     term_logs = np.empty((len(terms), form.log_coeff.size))
     term_errs = np.empty_like(term_logs)
     for r, (alpha, beta) in enumerate(terms):
-        with _theta_errors() as errs:
-            log_fd = lauricella_fd3_ln(1.5, *form.exponents.T, 2.0, *(-2.0 * form.rates / beta))
+        log_fd, term_errs[r] = lauricella_fd3_ln(1.5, *form.exponents.T, 2.0, *(-2.0 * form.rates / beta))
         term_logs[r] = form.log_coeff + math.log(abs(alpha) / (2.0 * beta)) + log_fd
-        term_errs[r] = errs[0]
     signs = np.repeat(np.sign([alpha for alpha, _ in terms]), form.log_coeff.size)
     log_total, sign = logsumexp(term_logs.ravel(), b=signs, return_sign=True)
     value = float(sign) * math.exp(float(log_total))

@@ -1,36 +1,29 @@
 """Self-contained special-function kernels.
 
-Covers exactly what the fading statistics need: Gauss 2F1 (real arguments
-in (-inf, 1) plus the complex off-cut values met on Bromwich contours),
-the integer-order Kummer 1F1(m; 1; z) finite sum, the modified Bessel
-function I0, the three-argument Lauricella F_D evaluated through its
-one-dimensional Euler integral, and the trapezoid engine over
-theta in [0, pi/2] that integrates it (and the BER integrals).
+Covers exactly what the fading statistics need, each as a logarithm:
+Gauss 2F1 (real arguments in (-inf, 1) plus the complex off-cut values met
+on Bromwich contours), the integer-order Kummer 1F1(m; 1; z) finite sum,
+the modified Bessel function I0, the three-argument Lauricella F_D
+evaluated through its one-dimensional Euler integral, and the trapezoid
+engine over theta in [0, pi/2] that integrates it (and the BER integrals).
 
-All potentially huge factors are handled in log space; series are summed
-with dynamic rescaling so intermediate overflow cannot occur even when the
-function value itself only makes sense combined with tiny prefactors.
+Series are summed with dynamic rescaling so intermediate overflow cannot
+occur even when the function value itself only makes sense combined with
+tiny prefactors.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 
 import numpy as np
 from scipy.special import gammaln, gammasgn, logsumexp
 
 __all__ = [
     "ConvergenceError",
-    "gauss_2f1",
     "hyp2f1_ln",
-    "kummer_1f1",
     "kummer_1f1_ln",
-    "bessel_i0",
-    "bessel_i0e",
     "log_i0",
-    "lauricella_fd3",
     "lauricella_fd3_ln",
     "theta_quadrature_ln",
 ]
@@ -49,28 +42,28 @@ def _is_nonpositive_int(x: float) -> bool:
     return x <= 0.0 and abs(x - round(x)) < 1e-12
 
 
-def _series_2f1_ln(a: float, b: float, c: float, z: np.ndarray, max_terms: int) -> np.ndarray:
+def _series_2f1_ln(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
     """log of sum_n (a)_n (b)_n / ((c)_n n!) z^n for a flat complex array z.
 
     Accumulates with dynamic rescaling; raises ConvergenceError if any entry
-    fails to settle within ``max_terms``.  Hopeless arguments (the geometric
-    tail alone would need more than the budget) fail fast instead of
-    iterating.
+    fails to settle within ``_MAX_SERIES_TERMS``.  Hopeless arguments (the
+    geometric tail alone would need more than the budget) fail fast instead
+    of iterating.
     """
     if not (_is_nonpositive_int(a) or _is_nonpositive_int(b)):
         worst = float(np.max(np.abs(z))) if z.size else 0.0
         needed = (40.0 + max(0.0, a + b - c)) / max(1.0 - worst, 1e-300)
-        if worst >= 1.0 or needed > max_terms:
+        if worst >= 1.0 or needed > _MAX_SERIES_TERMS:
             raise ConvergenceError(
                 f"2F1 series needs ~{needed:.3g} terms for |z|={worst:.6g} "
-                f"(budget {max_terms}; a={a}, b={b}, c={c})"
+                f"(budget {_MAX_SERIES_TERMS}; a={a}, b={b}, c={c})"
             )
     s = np.ones(z.shape, dtype=complex)
     term = np.ones(z.shape, dtype=complex)
     log_scale = np.zeros(z.shape, dtype=float)
     settled = np.zeros(z.shape, dtype=int)
     active = np.ones(z.shape, dtype=bool)
-    for n in range(max_terms):
+    for n in range(_MAX_SERIES_TERMS):
         ratio = z * ((a + n) * (b + n) / ((c + n) * (n + 1.0)))
         term = np.where(active, term * ratio, term)
         s = np.where(active, s + term, s)
@@ -86,7 +79,7 @@ def _series_2f1_ln(a: float, b: float, c: float, z: np.ndarray, max_terms: int) 
             log_scale = np.where(big, log_scale + _RESCALE_LOG, log_scale)
     else:
         raise ConvergenceError(
-            f"2F1 series did not converge within {max_terms} terms "
+            f"2F1 series did not converge within {_MAX_SERIES_TERMS} terms "
             f"(a={a}, b={b}, c={c}, worst |z|={np.abs(z[active]).max():.6g})"
         )
     return np.log(s) + log_scale
@@ -99,14 +92,14 @@ def _log_gamma_signed(x: float) -> complex:
     return complex(gammaln(x))
 
 
-def _connection_at_one_ln(a, b, c, omz: np.ndarray, max_terms: int) -> np.ndarray:
+def _connection_at_one_ln(a, b, c, omz: np.ndarray) -> np.ndarray:
     """log 2F1 via the two-series expansion around z = 1 (|1 - z| small).
 
     Requires c - a - b away from the integers (the caller guards this);
     both inner series then converge geometrically in 1 - z.
     """
-    s1 = _series_2f1_ln(a, b, a + b - c + 1.0, omz, max_terms)
-    s2 = _series_2f1_ln(c - a, c - b, c - a - b + 1.0, omz, max_terms)
+    s1 = _series_2f1_ln(a, b, a + b - c + 1.0, omz)
+    s2 = _series_2f1_ln(c - a, c - b, c - a - b + 1.0, omz)
     g1 = (
         _log_gamma_signed(c)
         + _log_gamma_signed(c - a - b)
@@ -125,7 +118,7 @@ def _connection_at_one_ln(a, b, c, omz: np.ndarray, max_terms: int) -> np.ndarra
     return shift + np.log(np.exp(t1 - shift) + np.exp(t2 - shift))
 
 
-def hyp2f1_ln(a, b, c, z, one_minus_z=None, max_terms: int = _MAX_SERIES_TERMS):
+def hyp2f1_ln(a, b, c, z, one_minus_z=None):
     """Principal-branch log of 2F1(a, b; c; z) for scalar parameters.
 
     ``z`` may be real or complex, scalar or array, anywhere off the branch
@@ -159,7 +152,7 @@ def hyp2f1_ln(a, b, c, z, one_minus_z=None, max_terms: int = _MAX_SERIES_TERMS):
         raise ValueError("2F1 argument lies on the branch cut [1, inf)")
 
     if terminating:
-        out[:] = _series_2f1_ln(a, b, c, flat, max_terms)
+        out[:] = _series_2f1_ln(a, b, c, flat)
         return out.reshape(z_arr.shape) if z_arr.shape else out[0]
 
     use_pfaff = (flat.real < 0.0) | (np.abs(flat) > 1.0)
@@ -179,7 +172,7 @@ def hyp2f1_ln(a, b, c, z, one_minus_z=None, max_terms: int = _MAX_SERIES_TERMS):
     use_direct = remaining & ~use_euler
 
     if use_conn.any():
-        out[use_conn] = _connection_at_one_ln(a, b, c, omz[use_conn], max_terms)
+        out[use_conn] = _connection_at_one_ln(a, b, c, omz[use_conn])
     if use_pfaff.any():
         zp = flat[use_pfaff]
         omzp = omz[use_pfaff]
@@ -190,40 +183,17 @@ def hyp2f1_ln(a, b, c, z, one_minus_z=None, max_terms: int = _MAX_SERIES_TERMS):
                 f"(worst |w|={np.abs(w).max():.6g})"
             )
         if a >= b:
-            out[use_pfaff] = -b * np.log(omzp) + _series_2f1_ln(c - a, b, c, w, max_terms)
+            out[use_pfaff] = -b * np.log(omzp) + _series_2f1_ln(c - a, b, c, w)
         else:
-            out[use_pfaff] = -a * np.log(omzp) + _series_2f1_ln(c - b, a, c, w, max_terms)
+            out[use_pfaff] = -a * np.log(omzp) + _series_2f1_ln(c - b, a, c, w)
     if use_euler.any():
         out[use_euler] = (c - a - b) * np.log(omz[use_euler]) + _series_2f1_ln(
-            c - a, c - b, c, flat[use_euler], max_terms
+            c - a, c - b, c, flat[use_euler]
         )
     if use_direct.any():
-        out[use_direct] = _series_2f1_ln(a, b, c, flat[use_direct], max_terms)
+        out[use_direct] = _series_2f1_ln(a, b, c, flat[use_direct])
 
     return out.reshape(z_arr.shape) if z_arr.shape else out[0]
-
-
-def gauss_2f1(a, b, c, z):
-    """Gauss hypergeometric function 2F1(a, b; c; z).
-
-    Guaranteed to 1e-12 relative accuracy for real |z| <= 0.99; arguments
-    closer to the cut are evaluated on a best-effort basis and raise
-    :class:`ConvergenceError` when the node budget runs out.
-    """
-    ln = hyp2f1_ln(a, b, c, z)
-    val = np.exp(ln)
-    if np.isrealobj(np.asarray(z)):
-        val = np.real_if_close(val, tol=1e3)
-        val = np.real(val)
-    if np.ndim(z) == 0:
-        return complex(val) if np.iscomplexobj(val) else float(val)
-    return val
-
-
-def _check_kummer_order(m) -> int:
-    if m != int(m) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
-    return int(m)
 
 
 def kummer_1f1_ln(m: int, z: float) -> float:
@@ -233,9 +203,11 @@ def kummer_1f1_ln(m: int, z: float) -> float:
 
     computed as a log-sum-exp so arbitrarily large z is safe.  Negative z
     makes the function oscillate through zero, so no log form exists
-    there; use :func:`kummer_1f1`.
+    there.
     """
-    m = _check_kummer_order(m)
+    if m != int(m) or m < 1:
+        raise ValueError(f"m must be a positive integer, got {m!r}")
+    m = int(m)
     z = float(z)
     if z < 0.0:
         raise ValueError(f"log form needs z >= 0, got {z}")
@@ -244,31 +216,6 @@ def kummer_1f1_ln(m: int, z: float) -> float:
     n = np.arange(m)
     log_binom = gammaln(m) - gammaln(n + 1) - gammaln(m - n)
     return z + float(logsumexp(log_binom + n * math.log(z) - gammaln(n + 1)))
-
-
-def kummer_1f1(m: int, z: float) -> float:
-    """1F1(m; 1; z) for positive integer m (finite Kummer sum).
-
-    Raises OverflowError when the value exceeds double-precision range;
-    use :func:`kummer_1f1_ln` in that regime.
-    """
-    m = _check_kummer_order(m)
-    z = float(z)
-    if z > 0.0:
-        ln = kummer_1f1_ln(m, z)
-        if ln > 709.0:
-            raise OverflowError(
-                f"1F1({m}; 1; {z}) overflows double precision (log value {ln:.3f})"
-            )
-        return math.exp(ln)
-    # Alternating finite sum; fine for the moderate negative arguments the
-    # package produces (the function oscillates and may be negative here).
-    n = np.arange(m)
-    log_mag = gammaln(m) - gammaln(n + 1) - gammaln(m - n) - gammaln(n + 1)
-    if z < 0.0:
-        log_mag = log_mag + n * math.log(-z)
-    total = float(np.sum(np.exp(log_mag) * (-1.0) ** n)) if z < 0.0 else 1.0
-    return math.exp(z) * total
 
 
 # Asymptotic coefficients p_k = prod_{j=1..k} (2j-1)^2 / (k! 8^k) for I0.
@@ -329,40 +276,9 @@ def log_i0(z):
     return out if z_arr.shape else out[()]
 
 
-def bessel_i0(z):
-    """Modified Bessel function of the first kind, order zero."""
-    val = np.exp(log_i0(z))
-    if np.isrealobj(np.asarray(z)):
-        val = np.real(val)
-    return val if np.ndim(z) else (complex(val) if np.iscomplexobj(val) else float(val))
-
-
-def bessel_i0e(x):
-    """Exponentially scaled I0: exp(-|Re z|) I0(z).  Overflow-free for real x."""
-    z_arr = np.asarray(x, dtype=complex)
-    val = np.exp(log_i0(z_arr) - np.abs(z_arr.real))
-    if np.isrealobj(np.asarray(x)):
-        val = np.real(val)
-    return val if np.ndim(x) else (complex(val) if np.iscomplexobj(val) else float(val))
-
-
 _THETA_FIRST_INTERVALS = 16
 _THETA_MAX_INTERVALS = 1 << 16
 _THETA_CHUNK = 4096
-_THETA_ERRORS: ContextVar = ContextVar("theta_errors", default=None)
-
-
-@contextmanager
-def _theta_errors():
-    """Collect the ``rel_err`` array of every :func:`theta_quadrature_ln`
-    call made inside the block (for callers that reach the engine through
-    a function returning values only)."""
-    sink: list = []
-    token = _THETA_ERRORS.set(sink)
-    try:
-        yield sink
-    finally:
-        _THETA_ERRORS.reset(token)
 
 
 def _theta_nodes(phi, tau):
@@ -443,14 +359,12 @@ def theta_quadrature_ln(log_f, n_rows: int, tau=1.0, rtol: float = 1e-10):
         out[rows[done]] = log_fine[done]
         err[rows[done]] = change[done]
         rows, log_sum, log_coarse = rows[~done], log_sum[~done], log_fine[~done]
-    sink = _THETA_ERRORS.get()
-    if sink is not None:
-        sink.append(err)
     return out, err
 
 
-def lauricella_fd3_ln(a, b1, b2, b3, c, x, y, z, rtol: float = 1e-10):
-    """log of F_D^(3)(a; b1, b2, b3; c; x, y, z) for arguments < 1.
+def lauricella_fd3_ln(a, b1, b2, b3, c, x, y, z):
+    """log of F_D^(3)(a; b1, b2, b3; c; x, y, z) for arguments < 1, with
+    its relative error estimate.
 
     Euler integral under t = sin^2(theta):
 
@@ -460,11 +374,12 @@ def lauricella_fd3_ln(a, b1, b2, b3, c, x, y, z, rtol: float = 1e-10):
     through :func:`theta_quadrature_ln`.  ``a - 1/2`` and ``c - a - 1/2``
     must be non-negative integers (the model uses a = 3/2, c = 2), so that
     the integrand is analytic, even and pi-periodic.  The exponents ``b1,
-    b2, b3`` may be broadcastable arrays, evaluated in one batch with an
-    array result; scalars give a float.  The engine's node clustering
-    follows the smallest argument, tau = (1 - min x)^(-1/4): a large
-    negative argument confines the integrand's change to sin^2 ~ 1/|x|
-    near theta = 0.
+    b2, b3`` may be broadcastable arrays, evaluated in one batch with array
+    results; scalars give floats.  Returns ``(log_value, rel_err)``, with
+    ``rel_err`` the engine's last relative change.  The engine's node
+    clustering follows the smallest argument, tau = (1 - min x)^(-1/4): a
+    large negative argument confines the integrand's change to
+    sin^2 ~ 1/|x| near theta = 0.
     """
     a = float(a)
     c = float(c)
@@ -497,13 +412,9 @@ def lauricella_fd3_ln(a, b1, b2, b3, c, x, y, z, rtol: float = 1e-10):
         return out
 
     tau = (1.0 - min(args)) ** -0.25
-    log_int, _ = theta_quadrature_ln(log_f, int(np.prod(shape)), tau=tau, rtol=rtol)
+    log_int, err = theta_quadrature_ln(log_f, int(np.prod(shape)), tau=tau)
     log_pref = gammaln(c) - gammaln(a) - gammaln(c - a)
     out = (log_pref + log_int).reshape(shape)
-    return float(out) if not shape else out
-
-
-def lauricella_fd3(a, b1, b2, b3, c, x, y, z, rtol: float = 1e-10):
-    """Lauricella F_D of three variables via its Euler integral."""
-    ln = lauricella_fd3_ln(a, b1, b2, b3, c, x, y, z, rtol=rtol)
-    return math.exp(ln) if np.ndim(ln) == 0 else np.exp(ln)
+    if not shape:
+        return float(out), float(err[0])
+    return out, err.reshape(shape)

@@ -149,11 +149,7 @@ def rice_mgf(k: float, mean_snr: float, s):
 
 def rician_shadowed_mgf(k: float, m: float, mean_snr: float, s):
     """Rician-shadowed MGF (single ray with Gamma fluctuation of shape m)."""
-    a_frac, log_b = _contour_pieces(k, mean_snr, s)
-    if m == math.inf:
-        return rice_mgf(k, mean_snr, s)
-    exponent = log_b - m * log1p_c(-(k / m) * a_frac)
-    return _finalize(np.exp(exponent), s)
+    return mgf(IftrParams(k, 0.0, m, math.inf, mean_snr), s)
 
 
 def mgf(p: IftrParams, s):

@@ -12,9 +12,7 @@ from iftr.laplace import (
     laplace_invert_density,
     phi2_multi_rate,
     log1p_c,
-    reset_clamp_counts,
 )
-from iftr.specfun import kummer_1f1
 
 X_GRID = np.linspace(0.1, 10.0, 34)
 
@@ -41,10 +39,6 @@ def test_config_validation():
         LaplaceInversionConfig(terms=8)
     with pytest.raises(ValueError):
         LaplaceInversionConfig(terms=1024)
-    with pytest.raises(ValueError):
-        LaplaceInversionConfig(precision_target=0.5)
-    with pytest.raises(ValueError):
-        LaplaceInversionConfig(precision_target=1e-15)
 
 
 @pytest.mark.parametrize("name", sorted(PAIRS))
@@ -84,17 +78,13 @@ def test_determinism():
 
 
 def test_cdf_clamping_counters():
-    reset_clamp_counts()
     laplace_invert_cdf(PAIRS["exponential"][0], np.array([50.0, 80.0, 100.0]))
     # Deep saturation wiggles over 1 get clamped and tallied.
     assert clamp_counts["cdf_above_one"] >= 0  # counter exists and is consistent
-    total = sum(clamp_counts.values())
-    reset_clamp_counts()
-    assert sum(clamp_counts.values()) == 0 <= total
 
 
 def test_tolerance_warning_fires():
-    cfg = LaplaceInversionConfig(terms=16, precision_target=1e-10)
+    cfg = LaplaceInversionConfig(terms=16)
     with pytest.warns(ToleranceWarning):
         laplace_invert_density(PAIRS["erlang5"][0], np.array([0.1]), cfg)
 
@@ -115,11 +105,11 @@ def test_log1p_c_small_arguments():
 
 
 def test_phi2_single_rate_reduces_to_kummer():
-    # Phi_2 with one factor is 1F1(b; c; rate x); at c = 1 and integer b this
-    # is the finite Kummer sum.
+    # Phi_2 with one factor is 1F1(b; c; rate x).
+    mpmath = pytest.importorskip("mpmath")
     x = np.array([0.2, 0.7, 1.9])
     got = phi2_multi_rate([3.0], 1.0, [-2.0], x)
-    want = np.array([kummer_1f1(3, -2.0 * xi) for xi in x])
+    want = np.array([float(mpmath.hyp1f1(3, 1, -2.0 * xi)) for xi in x])
     np.testing.assert_allclose(got, want, rtol=1e-8)
 
 

@@ -53,7 +53,15 @@ def test_mgf_diffuse_only_is_exponential():
 def test_mgf_delta_zero_equals_rician_shadowed_closed_form():
     p = IftrParams(k=5.0, delta=0.0, m1=3.0, m2=17.3, mean_snr=1.0)
     for s in (-0.3, -1.0, -10.0):
-        assert mgf(p, s) == pytest.approx(rician_shadowed_mgf(5.0, 3.0, 1.0, s), rel=1e-10)
+        # With delta = 0 the second ray carries no power, so m2 is inert.
+        assert mgf(p, s) == rician_shadowed_mgf(5.0, 3.0, 1.0, s)
+        # B (1 - (K/m) A)^(-m), A = gbar s / (1 + K - gbar s)
+        a_frac = s / (6.0 - s)
+        closed = 6.0 / (6.0 - s) * (1.0 - 5.0 / 3.0 * a_frac) ** -3.0
+        assert mgf(p, s) == pytest.approx(closed, rel=1e-10)
+    for m in (0.0, -1.0):
+        with pytest.raises(ValidationError):
+            rician_shadowed_mgf(5.0, m, 1.0, -1.0)
 
 
 def test_mgf_pole_proximity_error():
