@@ -29,7 +29,7 @@ from scipy.special import logsumexp
 from .params import IftrParams, ModulationSpec, ValidationError
 from .sim import SimConfig, sample_iftr
 from .stats import _MAX_SUM_TERMS, _integer_shape_form, cdf, cdf_asymptotic_slope, mgf
-from .specfun import lauricella_fd3_ln, theta_quadrature_ln
+from .specfun import ConvergenceError, lauricella_fd3_ln, theta_quadrature_ln
 
 __all__ = [
     "BerResult",
@@ -60,32 +60,41 @@ def ber_exact(p: IftrParams, mod: ModulationSpec) -> BerResult:
 
     Either shape may be the integer one (the labeling symmetry covers the
     second case).  The closed form is a sum of one Lauricella term per
-    unit of the integer shape, so it is used for integer shapes up to 400;
-    otherwise the call transparently falls back to the quadrature route,
-    with a warning and the method tag showing what ran.  ``est_error``
-    combines the theta engine's estimates of the Lauricella terms.
+    unit of the integer shape, so it is used for integer shapes up to 400.
+    Otherwise, or when a Lauricella integral does not converge within the
+    theta engine's node budget, the call transparently falls back to the
+    quadrature route, with a warning and the method tag showing what ran.
+    ``est_error`` combines the theta engine's estimates of the Lauricella
+    terms.
     """
     form = _integer_shape_form(p)
     if form is None:
-        warnings.warn(
+        return _quadrature_fallback(
+            p,
+            mod,
             "exact closed form needs a positive-integer fluctuation shape of at "
-            f"most {_MAX_SUM_TERMS} (one Lauricella term per unit of shape): "
-            "using MGF quadrature",
-            UserWarning,
-            stacklevel=2,
+            f"most {_MAX_SUM_TERMS} (one Lauricella term per unit of shape)",
         )
-        return ber_mgf_quadrature(p, mod)
     terms = [(alpha, beta) for alpha, beta in mod.terms if alpha != 0.0]
     term_logs = np.empty((len(terms), form.log_coeff.size))
     term_errs = np.empty_like(term_logs)
     for r, (alpha, beta) in enumerate(terms):
-        log_fd, term_errs[r] = lauricella_fd3_ln(1.5, *form.exponents.T, 2.0, *(-2.0 * form.rates / beta))
+        try:
+            log_fd, term_errs[r] = lauricella_fd3_ln(1.5, *form.exponents.T, 2.0, *(-2.0 * form.rates / beta))
+        except ConvergenceError as exc:
+            return _quadrature_fallback(p, mod, f"exact closed form did not converge ({exc})")
         term_logs[r] = form.log_coeff + math.log(abs(alpha) / (2.0 * beta)) + log_fd
     signs = np.repeat(np.sign([alpha for alpha, _ in terms]), form.log_coeff.size)
     log_total, sign = logsumexp(term_logs.ravel(), b=signs, return_sign=True)
     value = float(sign) * math.exp(float(log_total))
     est_error = math.exp(float(logsumexp(term_logs.ravel(), b=term_errs.ravel())) - float(log_total))
     return BerResult(value=value, method="lauricella-exact", est_error=est_error)
+
+
+def _quadrature_fallback(p: IftrParams, mod: ModulationSpec, reason: str) -> BerResult:
+    """``ber_mgf_quadrature``, with a warning that names why ``ber_exact`` could not run."""
+    warnings.warn(f"{reason}: using MGF quadrature", UserWarning, stacklevel=3)
+    return ber_mgf_quadrature(p, mod)
 
 
 def ber_mgf_quadrature(p: IftrParams, mod: ModulationSpec) -> BerResult:

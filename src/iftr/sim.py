@@ -177,14 +177,16 @@ def write_samples(path, values: np.ndarray, provenance: dict) -> None:
     """
     header = dict(provenance)
     header.setdefault("generator", "numpy-pcg64")
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        lines = map(",".join, zip(map(repr, values.real.tolist()), map(repr, values.imag.tolist())))
+    else:
+        lines = map(repr, values.astype(float, copy=False).tolist())
+    body = "\n".join(lines)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
-        if np.iscomplexobj(values):
-            for v in values:
-                fh.write(f"{float(v.real)!r},{float(v.imag)!r}\n")
-        else:
-            for v in values:
-                fh.write(f"{float(v)!r}\n")
+        if body:
+            fh.write(body + "\n")
 
 
 def read_samples(path):

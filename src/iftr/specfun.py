@@ -49,40 +49,71 @@ def _series_2f1_ln(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
     fails to settle within ``_MAX_SERIES_TERMS``.  Hopeless arguments (the
     geometric tail alone would need more than the budget) fail fast instead
     of iterating.
+
+    An entry settles after two consecutive terms of at most 1e-17 |sum|;
+    its log is written out then, and the entry leaves the working arrays
+    once half of them have settled, so later terms cost only about the
+    entries still open.  Each entry sees the same operations whichever
+    entries share its call.
     """
+    out = np.empty(z.shape, dtype=complex)
+    if not z.size:
+        return out
     if not (_is_nonpositive_int(a) or _is_nonpositive_int(b)):
-        worst = float(np.max(np.abs(z))) if z.size else 0.0
+        worst = float(np.max(np.abs(z)))
         needed = (40.0 + max(0.0, a + b - c)) / max(1.0 - worst, 1e-300)
         if worst >= 1.0 or needed > _MAX_SERIES_TERMS:
             raise ConvergenceError(
                 f"2F1 series needs ~{needed:.3g} terms for |z|={worst:.6g} "
                 f"(budget {_MAX_SERIES_TERMS}; a={a}, b={b}, c={c})"
             )
+    idx = np.arange(z.size)
     s = np.ones(z.shape, dtype=complex)
     term = np.ones(z.shape, dtype=complex)
     log_scale = np.zeros(z.shape, dtype=float)
-    settled = np.zeros(z.shape, dtype=int)
-    active = np.ones(z.shape, dtype=bool)
+    prev_small = np.zeros(z.shape, dtype=bool)
+    is_open = np.ones(z.shape, dtype=bool)
+    n_open = z.size
     for n in range(_MAX_SERIES_TERMS):
+        # Both products out of place and in this operand order: numpy's
+        # in-place paths (`term *= ...` on one entry, or a large temporary
+        # reused as the output) round differently from its vector loop.
         ratio = z * ((a + n) * (b + n) / ((c + n) * (n + 1.0)))
-        term = np.where(active, term * ratio, term)
-        s = np.where(active, s + term, s)
-        small = np.abs(term) <= 1e-17 * np.abs(s)
-        settled = np.where(active & small, settled + 1, 0)
-        active &= settled < 2
-        if not active.any():
-            break
-        big = active & ((np.abs(s) > _RESCALE_LIMIT) | (np.abs(term) > _RESCALE_LIMIT))
-        if big.any():
-            s = np.where(big, s / _RESCALE_LIMIT, s)
-            term = np.where(big, term / _RESCALE_LIMIT, term)
-            log_scale = np.where(big, log_scale + _RESCALE_LOG, log_scale)
-    else:
-        raise ConvergenceError(
-            f"2F1 series did not converge within {_MAX_SERIES_TERMS} terms "
-            f"(a={a}, b={b}, c={c}, worst |z|={np.abs(z[active]).max():.6g})"
-        )
-    return np.log(s) + log_scale
+        term = term * ratio
+        s += term
+        abs_term = np.abs(term)
+        abs_s = np.abs(s)
+        small = abs_term <= 1e-17 * abs_s
+        done = small & prev_small
+        prev_small = small
+        if done.any():
+            k = np.flatnonzero(done)
+            out[idx[k]] = np.log(s[k]) + log_scale[k]
+            n_open -= k.size
+            if not n_open:
+                return out
+            # A settled entry keeps a zero term and a NaN sum, so it never
+            # settles again or asks for a rescale.  Compressing only once
+            # half the entries have settled keeps the copies from costing
+            # more than the terms they save.
+            s[k] = np.nan
+            term[k] = 0.0
+            is_open[k] = False
+            if 2 * n_open <= idx.size:
+                idx, z, s, term, log_scale, prev_small, is_open, abs_term, abs_s = (
+                    v[is_open]
+                    for v in (idx, z, s, term, log_scale, prev_small, is_open, abs_term, abs_s)
+                )
+        # fmax skips the NaN sums of settled entries, as the comparisons below do.
+        if np.fmax.reduce(abs_s) > _RESCALE_LIMIT or np.fmax.reduce(abs_term) > _RESCALE_LIMIT:
+            big = (abs_s > _RESCALE_LIMIT) | (abs_term > _RESCALE_LIMIT)
+            s[big] /= _RESCALE_LIMIT
+            term[big] /= _RESCALE_LIMIT
+            log_scale[big] += _RESCALE_LOG
+    raise ConvergenceError(
+        f"2F1 series did not converge within {_MAX_SERIES_TERMS} terms "
+        f"(a={a}, b={b}, c={c}, worst |z|={np.abs(z[is_open]).max():.6g})"
+    )
 
 
 def _log_gamma_signed(x: float) -> complex:
@@ -377,9 +408,10 @@ def lauricella_fd3_ln(a, b1, b2, b3, c, x, y, z):
     b2, b3`` may be broadcastable arrays, evaluated in one batch with array
     results; scalars give floats.  Returns ``(log_value, rel_err)``, with
     ``rel_err`` the engine's last relative change.  The engine's node
-    clustering follows the smallest argument, tau = (1 - min x)^(-1/4): a
-    large negative argument confines the integrand's change to
-    sin^2 ~ 1/|x| near theta = 0.
+    clustering follows the extreme arguments, tau = ((1 - min x)(1 - max x))^(-1/4)
+    with min x <= 0 <= max x: a large negative argument confines the
+    integrand's change to sin^2 ~ 1/|x| near theta = 0, an argument close to
+    1 to cos^2 ~ 1 - x near theta = pi/2.
     """
     a = float(a)
     c = float(c)
@@ -408,10 +440,11 @@ def lauricella_fd3_ln(a, b1, b2, b3, c, x, y, z):
                 log_g = log_g + e_cos * np.log(cos2)
         out = np.broadcast_to(log_g, (rows.size, sin2.shape[1]))
         for b_i, x_i in cols:
-            out = out - b_i[rows] * np.log1p(-x_i * sin2)
+            # 1 - x sin^2, written so that it keeps its digits as x -> 1
+            out = out - b_i[rows] * np.log(cos2 + (1.0 - x_i) * sin2)
         return out
 
-    tau = (1.0 - min(args)) ** -0.25
+    tau = ((1.0 - min(0.0, *args)) * (1.0 - max(0.0, *args))) ** -0.25
     log_int, err = theta_quadrature_ln(log_f, int(np.prod(shape)), tau=tau)
     log_pref = gammaln(c) - gammaln(a) - gammaln(c - a)
     out = (log_pref + log_int).reshape(shape)

@@ -103,6 +103,17 @@ def test_integer_shape_beyond_term_cap_falls_back_naming_the_cap():
     assert res.value == ber_mgf_quadrature(p, BPSK).value
 
 
+def test_exact_falls_back_when_theta_engine_does_not_converge():
+    # At this mean SNR 20 of the 400 Lauricella integrals are still open at
+    # the theta engine's node budget.
+    p = IftrParams(k=300.0, delta=1.0, m1=400, m2=2.0, mean_snr=1e-9)
+    with pytest.warns(UserWarning, match="did not converge.*MGF quadrature"):
+        res = ber_exact(p, BPSK)
+    assert res.method == "mgf-quadrature"
+    assert res.value == pytest.approx(0.4999838267475, rel=1e-12)
+    assert res.value == ber_mgf_quadrature(p, BPSK).value
+
+
 def test_monte_carlo_agrees():
     p = IftrParams(k=15, delta=0.5, m1=5, m2=2, mean_snr=10.0)
     mc = ber_monte_carlo(p, BPSK, n_samples=10 ** 6, seed=8)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -140,12 +141,25 @@ def test_sample_dispatch():
         sample(SimConfig(n_samples=10, seed=0, model="rician-shadowed"), k=5.0, mean_power=1.0)
 
 
+def per_line_dump(values, provenance):
+    """The sample-file format written value by value (reference for write_samples)."""
+    header = {"generator": "numpy-pcg64", **provenance}
+    lines = ["# " + json.dumps(header, sort_keys=True)]
+    for v in values:
+        if np.iscomplexobj(values):
+            lines.append(f"{float(v.real)!r},{float(v.imag)!r}")
+        else:
+            lines.append(f"{float(v)!r}")
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
 def test_write_read_round_trip(tmp_path):
     p = IftrParams(k=2, delta=0.3, m1=1.5, m2=2.5, mean_snr=1.0)
     cfg = SimConfig(n_samples=500, seed=9, output="snr")
     values = sample_iftr(p, cfg)
     path = tmp_path / "samples.txt"
     write_samples(path, values, provenance_dict(cfg, K=2.0))
+    assert path.read_bytes() == per_line_dump(values, provenance_dict(cfg, K=2.0))
     back, prov = read_samples(path)
     np.testing.assert_array_equal(values, back)
     assert prov["seed"] == 9 and prov["K"] == 2.0 and prov["generator"] == "numpy-pcg64"
@@ -157,5 +171,6 @@ def test_write_read_complex(tmp_path):
     values = sample_iftr(p, cfg)
     path = tmp_path / "voltage.txt"
     write_samples(path, values, {})
+    assert path.read_bytes() == per_line_dump(values, {})
     back, _ = read_samples(path)
     np.testing.assert_array_equal(values, back)

@@ -159,6 +159,53 @@ def test_2f1_divergence_flag():
         hyp2f1_ln(1.5, 2.5, 1.0, 0.5 + 0.9j)  # |z| > 1 with Re z >= 0.5
 
 
+def test_2f1_batch_equals_scalar_calls_bit_for_bit():
+    # Entries that settle after very different numbers of terms, on the
+    # direct, Pfaff and Euler routes, share one call; each must come out
+    # exactly as it does alone.
+    rng = np.random.default_rng(23)
+    radius = np.concatenate([np.geomspace(1e-6, 0.89, 40), rng.uniform(0.91, 0.94, 8)])
+    z = radius * np.exp(1j * rng.uniform(-math.pi, math.pi, radius.size))
+    a, b, c = 2.3, 1.7, 1.0  # a + b - c > 0: the near-unit annulus goes through Euler
+    batch = hyp2f1_ln(a, b, c, z)
+    alone = np.array([hyp2f1_ln(a, b, c, zi) for zi in z])
+    assert np.any(z.real < 0.0) and np.any((np.abs(z) > 0.9) & (z.real > 0.0))
+    assert np.array_equal(batch, alone)
+
+
+@pytest.mark.parametrize("a", [237.0, 400.0])
+def test_2f1_rescaled_series_against_mpmath(a):
+    # Near z = 0.5 the sums of 2F1(a, a; 1; z) pass 1e250, so they must be
+    # rescaled: at a = 237 the sum alone does, at a = 400 the terms do too
+    # and the sum passes the largest double.  The small entry settles long
+    # before and stays in the working arrays while the others rescale.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    z = (0.5, 0.4999, 0.4998, 1e-3)
+    got = hyp2f1_ln(a, a, 1.0, np.array(z))
+    assert np.all(got[:3].real > math.log(1e250))
+    assert np.array_equal(got, [hyp2f1_ln(a, a, 1.0, zi) for zi in z])
+    for zi, gi in zip(z, got):
+        want = complex(mpmath.log(mpmath.hyp2f1(a, a, 1, zi)))
+        assert abs(gi - want) <= 1e-13 * abs(want), zi
+
+
+def test_2f1_empty_array():
+    for a in (2.3, -2.0):  # series routes, and the terminating series
+        out = hyp2f1_ln(a, 1.5, 1.0, np.empty(0))
+        assert out.shape == (0,) and out.dtype == complex
+    assert iftr.specfun._series_2f1_ln(2.3, 1.5, 1.0, np.empty(0, dtype=complex)).shape == (0,)
+
+
+def test_2f1_term_budget(monkeypatch):
+    # A terminating series skips the up-front estimate, so a budget shorter
+    # than its 151 terms is met inside the summation loop.
+    monkeypatch.setattr(iftr.specfun, "_MAX_SERIES_TERMS", 100)
+    with pytest.raises(ConvergenceError, match="did not converge within 100 terms"):
+        hyp2f1_ln(-150.0, 1.0, 1.0, np.array([0.5, 1e-3]))
+    assert np.isfinite(hyp2f1_ln(-50.0, 1.0, 1.0, 0.5))
+
+
 def test_in_model_2f1_argument_inside_unit_interval():
     # K^2 Delta^2 < [2 m1 + K(1 + r)][2 m2 + K(1 - r)] for all valid
     # parameters, so the asymptotic-coefficient argument stays in [0, 1).
@@ -307,6 +354,18 @@ def test_fd3_batched_rows_equal_scalar_calls():
     # Broadcasting across exponent arrays of different shapes.
     grid, grid_err = lauricella_fd3_ln(1.5, n[:, None], np.array([0.5, 1.5]), 1.0, 2.0, -5.0, -2.0, -1.0)
     assert grid.shape == grid_err.shape == (12, 2)
+
+
+def test_fd3_argument_close_to_one():
+    # 1 - x sin^2 keeps its digits as x -> 1, and the nodes crowd towards
+    # theta = pi/2, where the integrand's change sits.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    x = 1.0 - 1e-9
+    got, err = lauricella_fd3_ln(1.5, 1, 0, 0, 2, x, 0, 0)
+    want = float(mpmath.log(mpmath.hyp2f1(1.5, 1, 2, x)))
+    assert err <= 1e-10
+    assert abs(math.expm1(got - want)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
