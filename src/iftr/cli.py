@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .fitting import (
+    FAMILIES,
     MODEL_FAMILIES,
     FitConfig,
     empirical_cdf_from_samples,
@@ -281,7 +282,7 @@ def cmd_fit(args) -> int:
         emp = empirical_cdf_from_samples(values, domain=domain, n_points=args.quantiles)
     else:
         emp = load_empirical_cdf(args.input, domain=domain)
-    families = ("iftr", "rice", "twdp", "rician-shadowed") if args.compare else (args.model,)
+    families = tuple(FAMILIES) if args.compare else (args.model,)
     results = {}
     for family in families:
         cfg = FitConfig(

@@ -7,12 +7,11 @@ Kolmogorov-Smirnov distance,
 
 which magnifies errors where both CDFs are small -- the region that
 drives error-rate and outage performance.  Estimation minimizes epsilon
-with multi-start Nelder-Mead over log-transformed parameters (the
-interesting ranges of K, m and the scale span many decades), with an
-integer grid on m1 for the integer-constrained family.
+with multi-start Nelder-Mead over a fixed search box, with an integer
+grid on m1 for the integer-constrained family.
 
-Model families are nested restrictions of the same evaluator: frozen
-fluctuations are pinned at ``math.inf``, so the full family provably
+One table, ``FAMILIES``, names the fields each family frees; the rest are
+pinned (frozen fluctuations at ``math.inf``), so the full family provably
 dominates its special cases.  Fits of the full families therefore also
 run the nested fits and include their optima as candidates.
 """
@@ -22,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,17 +41,34 @@ __all__ = [
     "fit_result_to_json",
 ]
 
-MODEL_FAMILIES = ("iftr", "iftr-integer-m1", "rice", "twdp", "rician-shadowed")
+# The IftrParams fields each continuous family frees, special cases first.
+# Every other field keeps its _PINNED value (frozen fluctuations at
+# math.inf), so a family whose free fields are a subset of another's is one
+# of its special cases.
+FAMILIES = {
+    "rice": ("k",),
+    "twdp": ("k", "delta"),
+    "rician-shadowed": ("k", "m1"),
+    "iftr": ("k", "delta", "m1", "m2"),
+}
+MODEL_FAMILIES = (*FAMILIES, "iftr-integer-m1")
+_PINNED = {"delta": 0.0, "m1": math.inf, "m2": math.inf, "mean_snr": 1.0}
 
-DEFAULT_BOUNDS = {
-    "k": (1e-3, 1e6),
-    "delta": (0.0, 1.0),
-    "m": (0.05, 1e3),
-    "omega": (1e-3, 1e3),
+# Optimizer coordinate and search box per field: log10 of K, the shapes and
+# the scale, whose interesting ranges span many decades; delta raw.
+_SEARCH_BOX = {
+    "k": ("log10_k", math.log10(1e-3), math.log10(1e6)),
+    "delta": ("delta", 0.0, 1.0),
+    "m1": ("log10_m1", math.log10(0.05), math.log10(1e3)),
+    "m2": ("log10_m2", math.log10(0.05), math.log10(1e3)),
+    "mean_snr": ("log10_omega", math.log10(1e-3), math.log10(1e3)),
 }
 
 # Nelder-Mead stopping tolerance on epsilon.
 _FATOL = 1e-7
+
+# Top probability level of the quantile grid built from samples.
+_P_MAX = 0.995
 
 
 @dataclass(frozen=True)
@@ -95,11 +111,10 @@ class EmpiricalCdf:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Family selection, search box, restart budget and seed."""
+    """Family selection, restart budget and seed."""
 
     model_family: str = "iftr"
     fit_scale: bool = False
-    bounds: dict = field(default_factory=dict)
     restarts: int = 4
     seed: int = 0
     m1_grid: tuple = tuple(range(1, 61))
@@ -112,12 +127,6 @@ class FitConfig:
             )
         if self.restarts < 1:
             raise ValidationError("restarts must be >= 1")
-        merged = dict(DEFAULT_BOUNDS)
-        merged.update(self.bounds)
-        for name, (lo, hi) in merged.items():
-            if not (np.isfinite(lo) and np.isfinite(hi) and 0.0 <= lo < hi):
-                raise ValidationError(f"invalid bounds for {name}: ({lo}, {hi})")
-        object.__setattr__(self, "bounds", merged)
         if not all(int(m) == m and m >= 1 for m in self.m1_grid):
             raise ValidationError("m1_grid must contain positive integers")
 
@@ -174,54 +183,6 @@ class _CdfEvaluator:
         return _clamp_cdf(values)
 
 
-def _family_spec(family: str, fit_scale: bool, bounds: dict):
-    """(names, transform) for the family's free parameters.
-
-    Parameters are optimized as log10 K, raw delta in [0, 1], log10 m and
-    log10 omega; frozen fluctuations are pinned at math.inf.
-    """
-    lg = math.log10
-    k_lo, k_hi = bounds["k"]
-    m_lo, m_hi = bounds["m"]
-    o_lo, o_hi = bounds["omega"]
-    spec = {
-        "iftr": (
-            ["log10_k", "delta", "log10_m1", "log10_m2"],
-            [(lg(k_lo), lg(k_hi)), bounds["delta"], (lg(m_lo), lg(m_hi)), (lg(m_lo), lg(m_hi))],
-            lambda t, omega: IftrParams(10.0 ** t[0], t[1], 10.0 ** t[2], 10.0 ** t[3], omega),
-        ),
-        "twdp": (
-            ["log10_k", "delta"],
-            [(lg(k_lo), lg(k_hi)), bounds["delta"]],
-            lambda t, omega: IftrParams(10.0 ** t[0], t[1], math.inf, math.inf, omega),
-        ),
-        "rice": (
-            ["log10_k"],
-            [(lg(k_lo), lg(k_hi))],
-            lambda t, omega: IftrParams(10.0 ** t[0], 0.0, math.inf, math.inf, omega),
-        ),
-        "rician-shadowed": (
-            ["log10_k", "log10_m"],
-            [(lg(k_lo), lg(k_hi)), (lg(m_lo), lg(m_hi))],
-            lambda t, omega: IftrParams(10.0 ** t[0], 0.0, 10.0 ** t[1], math.inf, omega),
-        ),
-    }
-    names, boxes, build = spec[family]
-    if fit_scale:
-        names = names + ["log10_omega"]
-        boxes = boxes + [(lg(o_lo), lg(o_hi))]
-
-        def make(theta):
-            return build(theta, 10.0 ** theta[-1])
-
-    else:
-
-        def make(theta):
-            return build(theta, 1.0)
-
-    return names, np.asarray(boxes, dtype=float), make
-
-
 def _objective(evaluator: _CdfEvaluator, emp: EmpiricalCdf, make_params):
     log_fe = np.log10(emp.F)
 
@@ -238,13 +199,28 @@ def _objective(evaluator: _CdfEvaluator, emp: EmpiricalCdf, make_params):
     return fun
 
 
-def _nelder_mead(fun, starts, boxes, cfg: FitConfig):
-    """Nelder-Mead from each prepared start in turn.
+def _multistart(emp, evaluator, free, pinned, n_random, cfg: FitConfig, rng):
+    """Nelder-Mead over the ``free`` fields from the box centre, then from
+    ``n_random`` uniform starts; every other field keeps its ``pinned`` value.
 
-    Returns (best theta, best epsilon, one trace entry per start).
+    Returns (best params, best epsilon, coordinate names, one trace entry
+    per start).
     """
     from scipy.optimize import minimize  # deferred: only fits need the optimizer
 
+    fields = list(free) + ["mean_snr"] * cfg.fit_scale
+    names = [_SEARCH_BOX[f][0] for f in fields]
+    boxes = np.array([_SEARCH_BOX[f][1:] for f in fields])
+
+    def make(theta):
+        values = dict(pinned)
+        values.update((f, t if f == "delta" else 10.0 ** t) for f, t in zip(fields, theta))
+        return IftrParams(**values)
+
+    fun = _objective(evaluator, emp, make)
+    starts = [0.5 * (boxes[:, 0] + boxes[:, 1])]
+    for _ in range(n_random):
+        starts.append(boxes[:, 0] + (boxes[:, 1] - boxes[:, 0]) * rng.random(len(boxes)))
     trace = []
     best_theta, best_eps = None, math.inf
     with warnings.catch_warnings():
@@ -264,98 +240,52 @@ def _nelder_mead(fun, starts, boxes, cfg: FitConfig):
             trace.append({"start": list(map(float, theta0)), "epsilon": float(res.fun)})
             if res.fun < best_eps:
                 best_eps, best_theta = float(res.fun), res.x
-    return best_theta, best_eps, trace
-
-
-def _run_family(emp, evaluator, family, cfg: FitConfig, rng) -> FitResult:
-    names, boxes, make = _family_spec(family, cfg.fit_scale, cfg.bounds)
-    fun = _objective(evaluator, emp, make)
-    starts = [0.5 * (boxes[:, 0] + boxes[:, 1])]
-    for _ in range(cfg.restarts - 1):
-        starts.append(boxes[:, 0] + (boxes[:, 1] - boxes[:, 0]) * rng.random(len(boxes)))
-    best_theta, best_eps, trace = _nelder_mead(fun, starts, boxes, cfg)
-    params = make(best_theta)
-    return FitResult(
-        params=params,
-        epsilon=best_eps,
-        model_family=family,
-        diagnostics={"parameters": names, "restarts": trace, "n_evals": evaluator.n_evals},
-    )
-
-
-def _run_integer_m1(emp, evaluator, cfg: FitConfig, rng) -> FitResult:
-    best = None
-    per_m1 = []
-    for m1 in cfg.m1_grid:
-        names, boxes, make_free = _family_spec("iftr", cfg.fit_scale, cfg.bounds)
-        # Drop the log10_m1 coordinate; pin it to the grid value.
-        keep = [i for i, n in enumerate(names) if n != "log10_m1"]
-        sub_boxes = boxes[keep]
-
-        def make(theta, m1=m1, keep=keep, make_free=make_free, names=names):
-            full = np.empty(len(names))
-            full[keep] = theta
-            full[names.index("log10_m1")] = math.log10(m1)
-            return make_free(full)
-
-        fun = _objective(evaluator, emp, make)
-        starts = [0.5 * (sub_boxes[:, 0] + sub_boxes[:, 1])]
-        for _ in range(max(1, cfg.restarts // 2)):
-            starts.append(sub_boxes[:, 0] + (sub_boxes[:, 1] - sub_boxes[:, 0]) * rng.random(len(sub_boxes)))
-        local_theta, local_best, _ = _nelder_mead(fun, starts, sub_boxes, cfg)
-        per_m1.append({"m1": m1, "epsilon": local_best})
-        candidate = FitResult(
-            params=make(local_theta),
-            epsilon=local_best,
-            model_family="iftr-integer-m1",
-            diagnostics={},
-        )
-        # Deterministic tie-break: strictly better epsilon wins; the grid
-        # ascends, so ties keep the lowest m1.
-        if best is None or candidate.epsilon < best.epsilon - 1e-15:
-            best = candidate
-    return FitResult(
-        params=best.params,
-        epsilon=best.epsilon,
-        model_family="iftr-integer-m1",
-        diagnostics={"per_m1": per_m1, "n_evals": evaluator.n_evals},
-    )
+    return make(best_theta), best_eps, names, trace
 
 
 def fit(emp: EmpiricalCdf, cfg: FitConfig) -> FitResult:
     """Minimize the log-domain KS statistic over the selected family.
 
     Deterministic for a fixed (seed, config).  The full families also fit
-    their nested special cases and keep whichever candidate wins, so
+    their nested special cases -- the ``FAMILIES`` rows whose free fields
+    are a proper subset of theirs -- and keep whichever candidate wins, so
     ``epsilon(iftr) <= epsilon(nested family)`` holds by construction.
+    ``iftr-integer-m1`` is ``iftr`` with m1 pinned to each grid value in
+    turn, so it embeds only the families that keep m1 frozen.
     """
     evaluator = _CdfEvaluator(emp, DEFAULT_CONFIG)
     rng = np.random.default_rng(cfg.seed)
     clamps_before = dict(clamp_counts)
-    if cfg.model_family in ("rice", "twdp", "rician-shadowed"):
-        result = _run_family(emp, evaluator, cfg.model_family, cfg, rng)
+
+    def run(family):
+        params, eps, names, trace = _multistart(emp, evaluator, FAMILIES[family], _PINNED, cfg.restarts - 1, cfg, rng)
+        return FitResult(params, eps, family, {"parameters": names, "restarts": trace, "n_evals": evaluator.n_evals})
+
+    if cfg.model_family in FAMILIES and cfg.model_family != "iftr":
+        result = run(cfg.model_family)
     else:
-        # The integer-constrained family may only absorb embeddings that keep
-        # its shape contract: frozen (inf) shapes qualify, a continuous
-        # single-ray shape does not (the integer grid itself covers those).
-        if cfg.model_family == "iftr":
-            nested_families = ("rice", "twdp", "rician-shadowed")
+        integer = cfg.model_family == "iftr-integer-m1"
+        own_free = tuple(f for f in FAMILIES["iftr"] if not (integer and f == "m1"))
+        nested = [run(fam) for fam, free in FAMILIES.items() if set(free) < set(own_free)]
+        if integer:
+            chosen, per_m1 = None, []
+            for m1 in cfg.m1_grid:
+                params, eps, _, _ = _multistart(
+                    emp, evaluator, own_free, {**_PINNED, "m1": m1}, max(1, cfg.restarts // 2), cfg, rng
+                )
+                per_m1.append({"m1": m1, "epsilon": eps})
+                # Deterministic tie-break: strictly better epsilon wins; the
+                # grid ascends, so ties keep the lowest m1.
+                if chosen is None or eps < chosen[1] - 1e-15:
+                    chosen = (params, eps)
+            own = FitResult(*chosen, cfg.model_family, {"per_m1": per_m1, "n_evals": evaluator.n_evals})
         else:
-            nested_families = ("rice", "twdp")
-        nested = [_run_family(emp, evaluator, fam, cfg, rng) for fam in nested_families]
-        if cfg.model_family == "iftr":
-            own = _run_family(emp, evaluator, "iftr", cfg, rng)
-        else:
-            own = _run_integer_m1(emp, evaluator, cfg, rng)
-        candidates = [own] + [
-            FitResult(params=r.params, epsilon=r.epsilon, model_family=cfg.model_family, diagnostics={"embedded_from": r.model_family})
-            for r in nested
-        ]
-        best = min(candidates, key=lambda r: r.epsilon)
+            own = run("iftr")
+        best = min([own] + nested, key=lambda r: r.epsilon)
         diagnostics = dict(own.diagnostics)
         diagnostics["nested"] = {r.model_family: r.epsilon for r in nested}
         if best is not own:
-            diagnostics["embedded_from"] = best.diagnostics.get("embedded_from")
+            diagnostics["embedded_from"] = best.model_family
         result = FitResult(
             params=best.params,
             epsilon=best.epsilon,
@@ -366,24 +296,17 @@ def fit(emp: EmpiricalCdf, cfg: FitConfig) -> FitResult:
     return result
 
 
-def empirical_cdf_from_samples(
-    samples,
-    domain=DistributionDomain.SNR,
-    n_points: int = 40,
-    p_min: float | None = None,
-    p_max: float = 0.995,
-) -> EmpiricalCdf:
+def empirical_cdf_from_samples(samples, domain=DistributionDomain.SNR, n_points: int = 40) -> EmpiricalCdf:
     """Reduce raw samples to an empirical CDF on a quantile grid.
 
-    Probability levels are log-spaced from ``p_min`` (default: 20/n,
-    floored at 1e-5) to ``p_max``; each abscissa is an order statistic and
-    F is the exact fraction of samples at or below it.
+    Probability levels are log-spaced from 20/n (floored at 1e-5) to
+    ``_P_MAX``; each abscissa is an order statistic and F is the exact
+    fraction of samples at or below it.
     """
     s = np.sort(np.asarray(samples, dtype=float))
     n = len(s)
-    if p_min is None:
-        p_min = max(20.0 / n, 1e-5)
-    levels = np.logspace(math.log10(p_min), math.log10(p_max), n_points)
+    p_min = max(20.0 / n, 1e-5)
+    levels = np.logspace(math.log10(p_min), math.log10(_P_MAX), n_points)
     idx = np.minimum((levels * n).astype(int), n - 1)
     x = s[idx]
     keep = np.concatenate(([True], np.diff(x) > 0.0))

@@ -150,14 +150,14 @@ def ber_monte_carlo(p: IftrParams, mod: ModulationSpec, n_samples: int = 10_000_
     return BerResult(value=value, method="monte-carlo", est_error=se / value if value > 0 else math.inf)
 
 
-def outage(p: IftrParams, rate_threshold: float, cfg=None) -> float:
+def outage(p: IftrParams, rate_threshold: float) -> float:
     """Probability that log2(1 + gamma) falls below ``rate_threshold``."""
     if rate_threshold < 0.0:
         raise ValidationError(f"rate threshold must be >= 0, got {rate_threshold}")
     x = 2.0 ** rate_threshold - 1.0
     if x == 0.0:
         return 0.0
-    return float(cdf(p, x, cfg=cfg))
+    return float(cdf(p, x))
 
 
 def outage_asymptotic(p: IftrParams, rate_threshold: float) -> float:

@@ -17,7 +17,7 @@ from iftr.fitting import _CdfEvaluator
 from iftr.laplace import LaplaceInversionConfig, clamp_counts
 from iftr.params import IftrParams, ValidationError
 from iftr.sim import SimConfig, sample_iftr, sample_rice
-from iftr.stats import DistributionDomain
+from iftr.stats import DistributionDomain, cdf
 
 FAST_FIT = dict(restarts=2, max_evaluations=600)
 
@@ -176,6 +176,7 @@ def test_iftr_fit_beats_truth_epsilon_and_nested(tmp_path):
     eps_true = modified_ks(emp, lambda x: evaluator(p_true))
     res = fit(emp, FitConfig(model_family="iftr", seed=2, **FAST_FIT))
     assert res.epsilon <= eps_true + 0.01
+    assert set(res.diagnostics["nested"]) == {"rice", "twdp", "rician-shadowed"}
     for family, eps in res.diagnostics["nested"].items():
         assert res.epsilon <= eps + 1e-6, family
 
@@ -191,6 +192,23 @@ def test_integer_m1_family_runs_on_small_grid():
     assert res.model_family == "iftr-integer-m1"
     assert float(res.params.m1).is_integer() or res.params.m1 == math.inf
     assert res.epsilon < 0.5
+    # Only the special cases that keep m1 frozen are embedded.
+    assert set(res.diagnostics["nested"]) == {"rice", "twdp"}
+
+
+def test_integer_m1_is_pinned_exactly():
+    # 10 ** log10(5) is 5.000000000000001: the grid value must reach the
+    # model as given, not through the optimizer's log coordinate.
+    p_true = IftrParams(k=10, delta=0.5, m1=5, m2=1.0, mean_snr=1.0)
+    x = np.logspace(-2, 0.4, 16)
+    emp = EmpiricalCdf(x=x, F=cdf(p_true, x))
+    res = fit(
+        emp,
+        FitConfig(model_family="iftr-integer-m1", seed=3, m1_grid=(5,), restarts=2, max_evaluations=400),
+    )
+    assert "embedded_from" not in res.diagnostics
+    assert res.params.m1 == 5.0
+    assert '"m1": 5.0,' in fit_result_to_json(res)
 
 
 def test_fit_determinism():
@@ -208,8 +226,6 @@ def test_fit_config_validation():
         FitConfig(model_family="nakagami")
     with pytest.raises(ValidationError):
         FitConfig(restarts=0)
-    with pytest.raises(ValidationError):
-        FitConfig(bounds={"k": (5.0, 1.0)})
     with pytest.raises(ValidationError):
         FitConfig(m1_grid=(1, 2.5))
 
