@@ -13,12 +13,11 @@ from iftr import (
     SpecularDecomposition,
     amplitudes_from_params,
     cdf,
+    family_params,
     mgf,
     mgf_integer_m1,
     params_from_amplitudes,
     pdf,
-    rician_shadowed_mgf,
-    twdp_limit_mgf,
 )
 
 print("== physical <-> statistical parameterization ==")
@@ -58,7 +57,7 @@ print("== special cases ==")
 s = -1.0
 p_shadow = IftrParams(k=5.0, delta=0.0, m1=3.0, m2=7.0, mean_snr=1.0)
 print(f"  delta=0      : {mgf(p_shadow, s):.12f}  vs single-fluctuating-ray "
-      f"{rician_shadowed_mgf(5.0, 3.0, 1.0, s):.12f}")
+      f"{mgf(family_params('rician-shadowed', k=5.0, m1=3.0), s):.12f}")
 p_frozen = IftrParams(k=15.0, delta=0.9, m1=1e5, m2=1e5, mean_snr=1.0)
 print(f"  m1=m2=1e5    : {mgf(p_frozen, s):.8f}  vs frozen-ray limit "
-      f"{twdp_limit_mgf(15.0, 0.9, 1.0, s):.8f}")
+      f"{mgf(family_params('twdp', k=15.0, delta=0.9), s):.8f}")

@@ -1,13 +1,13 @@
 """Seeded Monte Carlo sampling and cross-validation against the analytics.
 
-Shows the five samplers, bit-level determinism, and how the simulated
+Shows the two samplers and the nested families, bit-level determinism, and how the simulated
 statistics line up with the closed-form MGF and CDF.
 """
 
 import numpy as np
 
-from iftr import IftrParams, cdf, mgf
-from iftr.sim import SimConfig, sample_ftr, sample_iftr, sample_rice, sample_twdp
+from iftr import IftrParams, cdf, family_params, mgf
+from iftr.sim import SimConfig, sample_ftr, sample_iftr
 
 N = 10 ** 6
 
@@ -45,7 +45,7 @@ print("  (deep fades are likelier when the rays fluctuate independently)")
 
 print()
 print("== nested models ==")
-env_twdp = sample_twdp(15.0, 0.9, 1.0, SimConfig(n_samples=N, seed=4))
-env_rice = sample_rice(15.0, 1.0, SimConfig(n_samples=N, seed=5))
+env_twdp = sample_iftr(family_params("twdp", k=15.0, delta=0.9), SimConfig(n_samples=N, seed=4))
+env_rice = sample_iftr(family_params("rice", k=15.0), SimConfig(n_samples=N, seed=5))
 print(f"  twdp median envelope {np.median(env_twdp):.4f}; rice median {np.median(env_rice):.4f}")
-print("  frozen-shape channel (m1=m2=1e6) reproduces the twdp sampler in distribution")
+print("  frozen-shape channel (m1=m2=1e6) reproduces the twdp row in distribution")

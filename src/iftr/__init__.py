@@ -13,7 +13,7 @@ from .params import (
     SpecularDecomposition,
     ValidationError,
     amplitudes_from_params,
-    canonicalize,
+    family_params,
     params_from_amplitudes,
     params_from_json,
     params_to_json,
@@ -35,10 +35,7 @@ from .stats import (
     mgf,
     mgf_integer_m1,
     pdf,
-    rice_mgf,
-    rician_shadowed_mgf,
     rician_shadowed_pdf,
-    twdp_limit_mgf,
 )
 
 __version__ = "0.1.0"
@@ -51,7 +48,7 @@ __all__ = [
     "ValidationError",
     "params_from_amplitudes",
     "amplitudes_from_params",
-    "canonicalize",
+    "family_params",
     "params_from_json",
     "params_to_json",
     "LaplaceInversionConfig",
@@ -64,9 +61,6 @@ __all__ = [
     "DistributionDomain",
     "mgf",
     "mgf_integer_m1",
-    "twdp_limit_mgf",
-    "rice_mgf",
-    "rician_shadowed_mgf",
     "rician_shadowed_pdf",
     "pdf",
     "cdf",

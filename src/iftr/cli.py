@@ -21,7 +21,6 @@ import numpy as np
 
 from . import __version__
 from .fitting import (
-    FAMILIES,
     MODEL_FAMILIES,
     FitConfig,
     empirical_cdf_from_samples,
@@ -37,8 +36,8 @@ from .linkperf import (
     outage,
     outage_asymptotic,
 )
-from .params import IftrParams, ModulationSpec, ValidationError, params_from_json
-from .sim import MODELS, OUTPUTS, SimConfig, provenance_dict, read_samples, sample, sample_iftr, write_samples
+from .params import FAMILIES, IftrParams, ModulationSpec, ValidationError, family_params, params_from_json
+from .sim import OUTPUTS, SimConfig, provenance_dict, read_samples, sample_ftr, sample_iftr, write_samples
 from .specfun import ConvergenceError
 from .stats import DistributionDomain, _integer_shape_form, cdf, pdf, rician_shadowed_pdf
 
@@ -188,14 +187,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    cfg = SimConfig(n_samples=args.n, seed=args.seed, model=args.model, output=args.output)
+    cfg = SimConfig(n_samples=args.n, seed=args.seed, output=args.output)
     scale = args.omega if args.omega is not None else (args.gamma_bar if args.gamma_bar is not None else 1.0)
-    p = None
-    if args.model == "iftr":
-        p = IftrParams(k=args.K, delta=args.Delta, m1=args.m1, m2=args.m2, mean_snr=scale)
-    values = sample(cfg, p, k=args.K, delta=args.Delta, m=args.m, mean_power=scale)
+    if args.model == "ftr":
+        values = sample_ftr(args.K, args.Delta, args.m, scale, cfg)
+    else:
+        m1 = args.m if args.model == "rician-shadowed" else args.m1
+        values = sample_iftr(family_params(args.model, scale, k=args.K, delta=args.Delta, m1=m1, m2=args.m2), cfg)
     prov = provenance_dict(
         cfg,
+        model=args.model,
         tool="iftr",
         version=__version__,
         K=args.K,
@@ -340,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("sample", help="draw channel realizations to a sample file")
-    sp.add_argument("--model", default="iftr", choices=tuple(MODELS))
+    sp.add_argument("--model", default="iftr", choices=(*FAMILIES, "ftr"))
     sp.add_argument("--n", type=int, required=True, help="number of samples")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--output", default="envelope", choices=OUTPUTS)

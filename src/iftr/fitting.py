@@ -10,10 +10,11 @@ drives error-rate and outage performance.  Estimation minimizes epsilon
 with multi-start Nelder-Mead over a fixed search box, with an integer
 grid on m1 for the integer-constrained family.
 
-One table, ``FAMILIES``, names the fields each family frees; the rest are
-pinned (frozen fluctuations at ``math.inf``), so the full family provably
-dominates its special cases.  Fits of the full families therefore also
-run the nested fits and include their optima as candidates.
+The family table ``params.FAMILIES`` names the fields each family frees;
+``params.family_params`` pins the rest (frozen fluctuations at
+``math.inf``), so the full family provably dominates its special cases.
+Fits of the full families therefore also run the nested fits and include
+their optima as candidates.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .laplace import DEFAULT_CONFIG, LaplaceInversionConfig, _clamp_cdf, clamp_counts, euler_contour
-from .params import IftrParams, ValidationError
+from .params import FAMILIES, IftrParams, ValidationError, family_params
 from .stats import DistributionDomain, mgf
 from .specfun import ConvergenceError
 
@@ -41,18 +42,7 @@ __all__ = [
     "fit_result_to_json",
 ]
 
-# The IftrParams fields each continuous family frees, special cases first.
-# Every other field keeps its _PINNED value (frozen fluctuations at
-# math.inf), so a family whose free fields are a subset of another's is one
-# of its special cases.
-FAMILIES = {
-    "rice": ("k",),
-    "twdp": ("k", "delta"),
-    "rician-shadowed": ("k", "m1"),
-    "iftr": ("k", "delta", "m1", "m2"),
-}
 MODEL_FAMILIES = (*FAMILIES, "iftr-integer-m1")
-_PINNED = {"delta": 0.0, "m1": math.inf, "m2": math.inf, "mean_snr": 1.0}
 
 # Optimizer coordinate and search box per field: log10 of K, the shapes and
 # the scale, whose interesting ranges span many decades; delta raw.
@@ -102,11 +92,7 @@ class EmpiricalCdf:
             raise ValidationError(f"probabilities must be nondecreasing; row {i + 1} decreases")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "F", F)
-        object.__setattr__(
-            self,
-            "domain",
-            self.domain if isinstance(self.domain, DistributionDomain) else DistributionDomain(self.domain),
-        )
+        object.__setattr__(self, "domain", DistributionDomain(self.domain))
 
 
 @dataclass(frozen=True)
@@ -199,23 +185,23 @@ def _objective(evaluator: _CdfEvaluator, emp: EmpiricalCdf, make_params):
     return fun
 
 
-def _multistart(emp, evaluator, free, pinned, n_random, cfg: FitConfig, rng):
-    """Nelder-Mead over the ``free`` fields from the box centre, then from
-    ``n_random`` uniform starts; every other field keeps its ``pinned`` value.
+def _multistart(emp, evaluator, family, fixed, n_random, cfg: FitConfig, rng):
+    """Nelder-Mead over the free fields of ``family`` not in ``fixed`` from
+    the box centre, then from ``n_random`` uniform starts.
 
     Returns (best params, best epsilon, coordinate names, one trace entry
     per start).
     """
     from scipy.optimize import minimize  # deferred: only fits need the optimizer
 
-    fields = list(free) + ["mean_snr"] * cfg.fit_scale
+    fields = [f for f in FAMILIES[family] if f not in fixed] + ["mean_snr"] * cfg.fit_scale
     names = [_SEARCH_BOX[f][0] for f in fields]
     boxes = np.array([_SEARCH_BOX[f][1:] for f in fields])
 
     def make(theta):
-        values = dict(pinned)
+        values = dict(fixed)
         values.update((f, t if f == "delta" else 10.0 ** t) for f, t in zip(fields, theta))
-        return IftrParams(**values)
+        return family_params(family, **values)
 
     fun = _objective(evaluator, emp, make)
     starts = [0.5 * (boxes[:, 0] + boxes[:, 1])]
@@ -257,8 +243,8 @@ def fit(emp: EmpiricalCdf, cfg: FitConfig) -> FitResult:
     rng = np.random.default_rng(cfg.seed)
     clamps_before = dict(clamp_counts)
 
-    def run(family):
-        params, eps, names, trace = _multistart(emp, evaluator, FAMILIES[family], _PINNED, cfg.restarts - 1, cfg, rng)
+    def run(family, fixed=None, n_random=cfg.restarts - 1):
+        params, eps, names, trace = _multistart(emp, evaluator, family, fixed or {}, n_random, cfg, rng)
         return FitResult(params, eps, family, {"parameters": names, "restarts": trace, "n_evals": evaluator.n_evals})
 
     if cfg.model_family in FAMILIES and cfg.model_family != "iftr":
@@ -270,14 +256,12 @@ def fit(emp: EmpiricalCdf, cfg: FitConfig) -> FitResult:
         if integer:
             chosen, per_m1 = None, []
             for m1 in cfg.m1_grid:
-                params, eps, _, _ = _multistart(
-                    emp, evaluator, own_free, {**_PINNED, "m1": m1}, max(1, cfg.restarts // 2), cfg, rng
-                )
-                per_m1.append({"m1": m1, "epsilon": eps})
+                res = run("iftr", {"m1": m1}, max(1, cfg.restarts // 2))
+                per_m1.append({"m1": m1, "epsilon": res.epsilon})
                 # Deterministic tie-break: strictly better epsilon wins; the
                 # grid ascends, so ties keep the lowest m1.
-                if chosen is None or eps < chosen[1] - 1e-15:
-                    chosen = (params, eps)
+                if chosen is None or res.epsilon < chosen[1] - 1e-15:
+                    chosen = (res.params, res.epsilon)
             own = FitResult(*chosen, cfg.model_family, {"per_m1": per_m1, "n_evals": evaluator.n_evals})
         else:
             own = run("iftr")

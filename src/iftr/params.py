@@ -27,9 +27,10 @@ __all__ = [
     "IftrParams",
     "SpecularDecomposition",
     "ModulationSpec",
+    "FAMILIES",
+    "family_params",
     "params_from_amplitudes",
     "amplitudes_from_params",
-    "canonicalize",
     "params_from_json",
     "params_to_json",
 ]
@@ -112,6 +113,32 @@ class IftrParams:
         return replace(self, mean_snr=mean_snr)
 
 
+# The IftrParams fields each model family frees, special cases first.  Every
+# other field keeps its _PINNED value (frozen fluctuations at math.inf), so a
+# family whose free fields are a subset of another's is one of its special
+# cases.
+FAMILIES = {
+    "rice": ("k",),
+    "twdp": ("k", "delta"),
+    "rician-shadowed": ("k", "m1"),
+    "iftr": ("k", "delta", "m1", "m2"),
+}
+_PINNED = {"delta": 0.0, "m1": math.inf, "m2": math.inf}
+
+
+def family_params(family: str, mean_snr: float = 1.0, **fields) -> IftrParams:
+    """Parameters of a ``FAMILIES`` row: its free fields taken from
+    ``fields`` (any others are ignored), every other field pinned.  A free
+    field that is missing or None raises ``ValidationError``."""
+    if family not in FAMILIES:
+        raise ValidationError(f"family must be one of {tuple(FAMILIES)}, got {family!r}")
+    missing = [f for f in FAMILIES[family] if fields.get(f) is None]
+    if missing:
+        raise ValidationError(f"family {family!r} needs {', '.join(missing)}")
+    free = {f: fields[f] for f in FAMILIES[family]}
+    return IftrParams(**{**_PINNED, **free}, mean_snr=mean_snr)
+
+
 @dataclass(frozen=True)
 class SpecularDecomposition:
     """Physical ray amplitudes ``v1 >= v2 >= 0`` and diffuse variance ``sigma2 > 0``."""
@@ -169,35 +196,23 @@ def amplitudes_from_params(p: IftrParams, sigma2: float) -> SpecularDecompositio
     return SpecularDecomposition(v1=v1, v2=v2, sigma2=sigma2)
 
 
-def canonicalize(p: IftrParams, m1_attached_to_weaker: bool = False) -> IftrParams:
-    """Return the statistically identical parameter set in canonical labeling.
-
-    Canonical form attaches ``m1`` to the stronger ray.  The model is
-    invariant under swapping ``(m1, m2)`` together with the two ray roles,
-    so an input labeled the other way round (``m1_attached_to_weaker``) maps
-    to the same distribution with the shapes swapped.  ``k == 0`` already
-    collapsed ``delta`` to 0 at construction.  Idempotent.
-    """
-    if m1_attached_to_weaker:
-        return replace(p, m1=p.m2, m2=p.m1)
-    return p
-
-
 _CEP_GRID_POINTS = 201
 
 
+@dataclass(frozen=True)
 class ModulationSpec:
     """Coefficients of a conditional error probability sum(alpha_r Q(sqrt(beta_r x))).
 
     ``terms`` is an ordered sequence of ``(alpha_r, beta_r)`` pairs with
-    ``beta_r > 0``.  Construction checks that the resulting conditional
-    error probability stays within [0, 1] on a wide SNR grid.
+    ``beta_r > 0``, stored as a tuple.  Construction checks that the
+    resulting conditional error probability stays within [0, 1] on a wide
+    SNR grid.
     """
 
-    __slots__ = ("terms",)
+    terms: tuple
 
-    def __init__(self, terms):
-        terms = tuple((float(a), float(b)) for a, b in terms)
+    def __post_init__(self) -> None:
+        terms = tuple((float(a), float(b)) for a, b in self.terms)
         if len(terms) < 1:
             raise ValidationError("ModulationSpec needs at least one (alpha, beta) term")
         for i, (alpha, beta) in enumerate(terms):
@@ -205,7 +220,7 @@ class ModulationSpec:
             _require_finite(f"beta[{i}]", beta)
             if beta <= 0.0:
                 raise ValidationError(f"beta[{i}] must be > 0, got {beta}")
-        self.terms = terms
+        object.__setattr__(self, "terms", terms)
         bad = self._cep_out_of_range()
         if bad is not None:
             raise ValidationError(
@@ -234,15 +249,6 @@ class ModulationSpec:
     def bpsk(cls) -> "ModulationSpec":
         """Coherent BPSK: a single Q(sqrt(2 x)) term."""
         return cls([(1.0, 2.0)])
-
-    def __repr__(self) -> str:
-        return f"ModulationSpec(terms={self.terms!r})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ModulationSpec) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(self.terms)
 
 
 def _shape_from_json(name: str, value) -> float:

@@ -6,9 +6,9 @@ Physical model per draw:
 
 with independent unit-mean Gamma fluctuations ``zeta_i`` (shapes m1, m2),
 independent uniform phases, and i.i.d. Gaussian diffuse quadratures.  The
-related comparison models reuse the same machinery: a single shared
-fluctuation (jointly fluctuating rays), frozen fluctuations (TWDP), one
-ray only (Rice), and one fluctuating ray (Rician-shadowed).
+nested families (TWDP, Rice, Rician-shadowed) are ``sample_iftr`` of
+``params.family_params``; jointly fluctuating rays, one shared
+fluctuation on both, have their own sampler on the same machinery.
 
 Streams come from numpy's PCG64 generator seeded through SeedSequence;
 generation is chunked with per-chunk spawned seeds and fixed assembly
@@ -26,8 +26,7 @@ import numpy as np
 
 from .params import IftrParams, ValidationError
 
-__all__ = ["SimConfig", "sample_iftr", "sample_ftr", "sample_twdp", "sample_rice",
-           "sample_rician_shadowed", "write_samples", "read_samples"]
+__all__ = ["SimConfig", "sample_iftr", "sample_ftr", "write_samples", "read_samples"]
 
 OUTPUTS = ("envelope", "snr", "complex-voltage")
 _CHUNK = 1 << 19
@@ -35,18 +34,15 @@ _CHUNK = 1 << 19
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Sample count, seed, model selection and output kind."""
+    """Sample count, seed and output kind."""
 
     n_samples: int
     seed: int
-    model: str = "iftr"
     output: str = "envelope"
 
     def __post_init__(self) -> None:
         if self.n_samples < 1:
             raise ValidationError(f"n_samples must be >= 1, got {self.n_samples}")
-        if self.model not in MODELS:
-            raise ValidationError(f"model must be one of {tuple(MODELS)}, got {self.model!r}")
         if self.output not in OUTPUTS:
             raise ValidationError(f"output must be one of {OUTPUTS}, got {self.output!r}")
 
@@ -130,43 +126,6 @@ def sample_ftr(k: float, delta: float, m: float, mean_power: float, cfg: SimConf
         for rng, n in _chunks(cfg)
     ]
     return _assemble(cfg, chunks, mean_power)
-
-
-def sample_twdp(k: float, delta: float, mean_power: float, cfg: SimConfig) -> np.ndarray:
-    """Frozen rays plus diffuse power (the m -> inf limit)."""
-    return sample_iftr(IftrParams(k, delta, math.inf, math.inf, mean_power), cfg)
-
-
-def sample_rice(k: float, mean_power: float, cfg: SimConfig) -> np.ndarray:
-    """Single frozen ray plus diffuse power."""
-    return sample_iftr(IftrParams(k, 0.0, math.inf, math.inf, mean_power), cfg)
-
-
-def sample_rician_shadowed(k: float, m: float, mean_power: float, cfg: SimConfig) -> np.ndarray:
-    """Single Gamma-fluctuating ray plus diffuse power."""
-    return sample_iftr(IftrParams(k, 0.0, m, math.inf, mean_power), cfg)
-
-
-# Model name -> (sampler, the parameters it takes before the config).
-MODELS = {
-    "iftr": (sample_iftr, ("p",)),
-    "ftr": (sample_ftr, ("k", "delta", "m", "mean_power")),
-    "twdp": (sample_twdp, ("k", "delta", "mean_power")),
-    "rice": (sample_rice, ("k", "mean_power")),
-    "rician-shadowed": (sample_rician_shadowed, ("k", "m", "mean_power")),
-}
-
-
-def sample(cfg: SimConfig, p: IftrParams | None = None, **params) -> np.ndarray:
-    """Draw ``cfg.model``.  The two-fluctuation model takes ``p``, the
-    comparison models their scalar parameters as keywords (named in
-    ``MODELS``); parameters the model does not take are ignored."""
-    sampler, names = MODELS[cfg.model]
-    params["p"] = p
-    missing = [name for name in names if params.get(name) is None]
-    if missing:
-        raise ValidationError(f"model {cfg.model!r} needs {', '.join(missing)}")
-    return sampler(*(params[name] for name in names), cfg)
 
 
 def write_samples(path, values: np.ndarray, provenance: dict) -> None:

@@ -11,7 +11,7 @@ the same contour.  The two routes cross-validate each other.
 Frozen fluctuations are requested with ``m = math.inf``: both shapes
 infinite gives the two-wave-with-diffuse-power (TWDP) limit, additionally
 ``delta = 0`` gives Rice, and ``delta = 0`` with finite ``m1`` is the
-Rician-shadowed special case.
+Rician-shadowed special case; ``params.family_params`` builds these rows.
 """
 
 from __future__ import annotations
@@ -39,9 +39,6 @@ __all__ = [
     "ApproximationWarning",
     "mgf",
     "mgf_integer_m1",
-    "twdp_limit_mgf",
-    "rice_mgf",
-    "rician_shadowed_mgf",
     "rician_shadowed_pdf",
     "pdf",
     "cdf",
@@ -66,10 +63,6 @@ class DistributionDomain(Enum):
 
     SNR = "snr"
     ENVELOPE = "envelope"
-
-
-def _as_domain(domain) -> DistributionDomain:
-    return domain if isinstance(domain, DistributionDomain) else DistributionDomain(domain)
 
 
 def _contour_pieces(k: float, mean_snr: float, s):
@@ -135,21 +128,6 @@ def _add_specular_log(p: IftrParams, exponent, a_frac):
         one_minus_z = (m1 * m2 - (m1 * p2 + m2 * p1) * a_frac) / (f1 * f2)
         exponent = exponent + hyp2f1_ln(m1, m2, 1.0, z, one_minus_z=one_minus_z)
     return exponent
-
-
-def twdp_limit_mgf(k: float, delta: float, mean_snr: float, s):
-    """MGF of the frozen-fluctuation (TWDP) limit: B exp(K A) I0(Delta K A)."""
-    return mgf(IftrParams(k, delta, math.inf, math.inf, mean_snr), s)
-
-
-def rice_mgf(k: float, mean_snr: float, s):
-    """Rice MGF (single non-fluctuating specular ray)."""
-    return twdp_limit_mgf(k, 0.0, mean_snr, s)
-
-
-def rician_shadowed_mgf(k: float, m: float, mean_snr: float, s):
-    """Rician-shadowed MGF (single ray with Gamma fluctuation of shape m)."""
-    return mgf(IftrParams(k, 0.0, m, math.inf, mean_snr), s)
 
 
 def mgf(p: IftrParams, s):
@@ -294,9 +272,9 @@ def convergence_abscissa(p: IftrParams) -> float:
     return (1.0 + p.k) / p.mean_snr / inv
 
 
-def _snr_abscissae(p, x, domain):
+def _snr_abscissae(x, domain):
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if _as_domain(domain) is DistributionDomain.ENVELOPE:
+    if domain is DistributionDomain.ENVELOPE:
         return x_arr * x_arr
     return x_arr
 
@@ -343,7 +321,7 @@ def pdf(p: IftrParams, x, domain=DistributionDomain.SNR, cfg: LaplaceInversionCo
     finite-sum MGF as an independent route.  ``x = 0`` returns a one-sided
     extrapolation from 1e-8 * scale and warns.
     """
-    domain = _as_domain(domain)
+    domain = DistributionDomain(domain)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x_arr < 0.0):
         raise ValueError("abscissae must be >= 0")
@@ -355,7 +333,7 @@ def pdf(p: IftrParams, x, domain=DistributionDomain.SNR, cfg: LaplaceInversionCo
             stacklevel=2,
         )
     eps0 = 1e-8 * p.mean_snr
-    x_snr = _snr_abscissae(p, np.where(at_zero, math.sqrt(eps0) if domain is DistributionDomain.ENVELOPE else eps0, x_arr), domain)
+    x_snr = _snr_abscissae(np.where(at_zero, math.sqrt(eps0) if domain is DistributionDomain.ENVELOPE else eps0, x_arr), domain)
     transform, cfg = _inversion_route(p, x_snr, cfg, method)
     vals = laplace_invert_density(transform, x_snr, cfg)
     if domain is DistributionDomain.ENVELOPE:
@@ -373,14 +351,14 @@ def cdf(p: IftrParams, x, domain=DistributionDomain.SNR, cfg: LaplaceInversionCo
     saturation.  No ordering is guaranteed across separate calls beyond
     the engine precision.
     """
-    domain = _as_domain(domain)
+    domain = DistributionDomain(domain)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x_arr < 0.0):
         raise ValueError("abscissae must be >= 0")
     positive = x_arr > 0.0
     out = np.zeros(x_arr.shape, dtype=float)
     if positive.any():
-        x_snr = _snr_abscissae(p, x_arr[positive], domain)
+        x_snr = _snr_abscissae(x_arr[positive], domain)
         transform, cfg = _inversion_route(p, x_snr, cfg, method)
         vals = laplace_invert_cdf(transform, x_snr, cfg)
         order = np.argsort(x_snr, kind="stable")

@@ -17,9 +17,9 @@ from iftr.cli import FIG1_CURVES, FIG2_CURVES, FIG3_CURVES, FIG5_CURVES, main
 from iftr.fitting import FitConfig, _CdfEvaluator, empirical_cdf_from_samples, fit, fit_result_to_json, modified_ks
 from iftr.laplace import LaplaceInversionConfig, laplace_invert_cdf, laplace_invert_density
 from iftr.linkperf import ber_asymptotic, ber_exact, ber_mgf_quadrature, outage, outage_asymptotic
-from iftr.params import IftrParams, ModulationSpec
+from iftr.params import IftrParams, ModulationSpec, family_params
 from iftr.sim import SimConfig, sample_ftr, sample_iftr
-from iftr.stats import DistributionDomain, cdf, mgf, mgf_integer_m1, pdf, rice_mgf, rician_shadowed_mgf, twdp_limit_mgf
+from iftr.stats import DistributionDomain, cdf, mgf, mgf_integer_m1, pdf
 
 BPSK = ModulationSpec.bpsk()
 
@@ -171,7 +171,7 @@ def test_criterion_05_limit_reductions():
     # (a) delta = 0 collapses to the single-fluctuating-ray closed form
     p = IftrParams(k=5.0, delta=0.0, m1=3.2, m2=44.0, mean_snr=1.0)
     a = mgf(p, s_grid)
-    b = rician_shadowed_mgf(5.0, 3.2, 1.0, s_grid)
+    b = mgf(family_params("rician-shadowed", k=5.0, m1=3.2), s_grid)
     rel_rs = float(np.max(np.abs(a - b) / np.abs(b)))
     assert rel_rs <= 1e-10
     # (b) both shapes at 1e5: CDF matches the frozen-ray MGF inversion
@@ -179,14 +179,14 @@ def test_criterion_05_limit_reductions():
     p_big = IftrParams(k=k, delta=delta, m1=1e5, m2=1e5, mean_snr=gbar)
     x = np.logspace(-3, 1, 25) * gbar
     f_iftr = cdf(p_big, x)
-    f_twdp = laplace_invert_cdf(lambda s: twdp_limit_mgf(k, delta, gbar, -s), x)
+    p_twdp = family_params("twdp", gbar, k=k, delta=delta)
+    f_twdp = laplace_invert_cdf(lambda s: mgf(p_twdp, -s), x)
     sup = float(np.max(np.abs(f_iftr - f_twdp)))
     assert sup <= 1e-3
     # (c) delta = 0 with m1 = 1e6 approaches the non-fluctuating single ray
     p_rice = IftrParams(k=15.0, delta=0.0, m1=1e6, m2=2.0, mean_snr=1.0)
-    rel_rice = float(
-        np.max(np.abs(mgf(p_rice, s_grid) - rice_mgf(15.0, 1.0, s_grid)) / np.abs(rice_mgf(15.0, 1.0, s_grid)))
-    )
+    rice = mgf(family_params("rice", k=15.0), s_grid)
+    rel_rice = float(np.max(np.abs(mgf(p_rice, s_grid) - rice) / np.abs(rice)))
     assert rel_rice <= 1e-4
     report(5, f"limits: shadowed {rel_rs:.1e}, frozen-pair sup {sup:.1e}, rice {rel_rice:.1e}")
 
@@ -277,7 +277,7 @@ def _joint_fluctuation_mgf(k, delta, m, s):
     total = 0.0
     for t, wt in zip(theta, w):
         k_t = k * (1.0 + delta * math.cos(t))
-        total = total + wt * rician_shadowed_mgf(k_t, m, (1.0 + k_t) / (1.0 + k), s)
+        total = total + wt * mgf(family_params("rician-shadowed", (1.0 + k_t) / (1.0 + k), k=k_t, m1=m), s)
     return total / 2.0
 
 
@@ -299,7 +299,7 @@ def test_criterion_08_joint_fluctuation_contrast():
     # The Monte Carlo joint curve is checked against a deterministic route
     # (theta-averaged Rician-shadowed MGF through the Craig integral), and
     # the measured gap against the frozen-pair ceiling from
-    # twdp_limit_mgf.  All crossings use the same grid and interpolation,
+    # the TWDP MGF.  All crossings use the same grid and interpolation,
     # so the interpolation bias is common to the compared values.
     k, delta, m = 15.0, 0.5, 40.0
     target = 1e-4
@@ -312,13 +312,14 @@ def test_criterion_08_joint_fluctuation_contrast():
     snr0 = sample_ftr(k, delta, m, 1.0, SimConfig(n_samples=n_mc, seed=8080, output="snr"))
     ftr_ber = np.array([float(BPSK.cep(g * snr0).mean()) for g in gbar])
     joint_ber = _craig_bpsk_ber(lambda s: _joint_fluctuation_mgf(k, delta, m, s), gbar)
-    frozen_ber = _craig_bpsk_ber(lambda s: twdp_limit_mgf(k, delta, 1.0, s), gbar)
+    p_frozen = family_params("twdp", k=k, delta=delta)
+    frozen_ber = _craig_bpsk_ber(lambda s: mgf(p_frozen, s), gbar)
 
     # The theta average reproduces the frozen pair as m -> inf, which pins
     # the K_theta and per-theta mean-SNR bookkeeping of the joint route.
     s_check = np.array([-0.1, -1.0, -10.0, -100.0])
     frozen_avg = _joint_fluctuation_mgf(k, delta, math.inf, s_check)
-    frozen_ref = twdp_limit_mgf(k, delta, 1.0, s_check)
+    frozen_ref = mgf(p_frozen, s_check)
     assert np.max(np.abs(frozen_avg - frozen_ref) / frozen_ref) <= 1e-10
 
     def crossing_db(ber_curve):

@@ -12,9 +12,9 @@ import iftr
 from iftr.cli import main
 from iftr.linkperf import ber_mgf_quadrature, ber_monte_carlo
 from iftr.params import ModulationSpec
-from iftr.sim import SimConfig, sample_iftr
+from iftr.sim import SimConfig, sample_ftr, sample_iftr
 from iftr.params import IftrParams
-from iftr.sim import write_samples, provenance_dict
+from iftr.sim import read_samples, write_samples, provenance_dict
 
 
 def run(capsys, argv):
@@ -84,6 +84,28 @@ def test_sample_ftr_model(tmp_path):
                "--Delta", "0.9", "--m", "10", "--out", str(out)])
     assert rc == 0
     assert sum(1 for ln in out.read_text().splitlines() if not ln.startswith("#")) == 500
+
+
+# Each model's draw from the sampler directly, with the fields it pins.
+SAMPLE_MODELS = {
+    "iftr": lambda cfg: sample_iftr(IftrParams(7.0, 0.6, 2.5, 4.0, 2.0), cfg),
+    "ftr": lambda cfg: sample_ftr(7.0, 0.6, 3.0, 2.0, cfg),
+    "twdp": lambda cfg: sample_iftr(IftrParams(7.0, 0.6, math.inf, math.inf, 2.0), cfg),
+    "rice": lambda cfg: sample_iftr(IftrParams(7.0, 0.0, math.inf, math.inf, 2.0), cfg),
+    "rician-shadowed": lambda cfg: sample_iftr(IftrParams(7.0, 0.0, 3.0, math.inf, 2.0), cfg),
+}
+
+
+@pytest.mark.parametrize("model", SAMPLE_MODELS)
+def test_sample_model_writes_the_direct_draw(tmp_path, model):
+    out = tmp_path / "s.txt"
+    rc = main(["sample", "--model", model, "--n", "300", "--seed", "5", "--K", "7", "--Delta", "0.6",
+               "--m1", "2.5", "--m2", "4", "--m", "3", "--gamma-bar", "2", "--output", "snr",
+               "--out", str(out)])
+    assert rc == 0
+    values, prov = read_samples(out)
+    np.testing.assert_array_equal(values, SAMPLE_MODELS[model](SimConfig(n_samples=300, seed=5, output="snr")))
+    assert prov["model"] == model
 
 
 def test_sample_rejects_zero_n(tmp_path):

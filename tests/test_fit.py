@@ -15,8 +15,8 @@ from iftr.fitting import (
 )
 from iftr.fitting import _CdfEvaluator
 from iftr.laplace import LaplaceInversionConfig, clamp_counts
-from iftr.params import IftrParams, ValidationError
-from iftr.sim import SimConfig, sample_iftr, sample_rice
+from iftr.params import IftrParams, ValidationError, family_params
+from iftr.sim import SimConfig, sample_iftr
 from iftr.stats import DistributionDomain, cdf
 
 FAST_FIT = dict(restarts=2, max_evaluations=600)
@@ -160,7 +160,7 @@ def test_evaluator_clamps_are_counted():
 
 def test_rice_recovery_within_ten_percent():
     k_true = 5.0
-    env = sample_rice(k_true, 1.0, SimConfig(n_samples=10 ** 5, seed=77))
+    env = sample_iftr(family_params("rice", k=k_true), SimConfig(n_samples=10 ** 5, seed=77))
     emp = empirical_cdf_from_samples(env ** 2)
     res = fit(emp, FitConfig(model_family="rice", seed=1, **FAST_FIT))
     assert res.model_family == "rice"

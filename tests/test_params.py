@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from iftr import (
     SpecularDecomposition,
     ValidationError,
     amplitudes_from_params,
-    canonicalize,
+    family_params,
     params_from_amplitudes,
     params_from_json,
     params_to_json,
@@ -112,30 +113,45 @@ def test_k_zero_forces_delta_zero():
     assert p.delta == 0.0
 
 
-def test_canonicalize_idempotent_and_swap():
-    p = IftrParams(k=4.0, delta=0.6, m1=2, m2=8)
-    assert canonicalize(p) == p
-    assert canonicalize(canonicalize(p)) == p
-    swapped = canonicalize(p, m1_attached_to_weaker=True)
-    assert (swapped.m1, swapped.m2) == (8, 2)
-    assert (swapped.k, swapped.delta) == (p.k, p.delta)
-    assert canonicalize(swapped) == swapped
-
-
 def test_canonicalize_preserves_mgf():
     # The labeling swap maps to a statistically identical channel: the MGF
     # with shapes swapped together with the ray roles coincides with the
-    # original (checked through the finite-sum symmetry in test_stats); here
-    # we check the degenerate rule and idempotence on the MGF itself.
-    p = IftrParams(k=0.0, delta=0.7, m1=2, m2=8, mean_snr=1.0)
-    q = canonicalize(p)
+    # original (checked through the finite-sum symmetry in test_stats).
+    # With no specular power (k = 0) or equal rays (delta = 1) the roles
+    # coincide, so swapping the shapes alone must leave the MGF unchanged.
     s_grid = np.linspace(-5.0, -0.1, 11)
-    np.testing.assert_allclose(mgf(p, s_grid), mgf(q, s_grid), rtol=1e-12)
+    for k, delta in ((0.0, 0.7), (6.0, 1.0)):
+        p = IftrParams(k=k, delta=delta, m1=2, m2=8, mean_snr=1.0)
+        q = replace(p, m1=p.m2, m2=p.m1)
+        np.testing.assert_allclose(mgf(p, s_grid), mgf(q, s_grid), rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "family, fields, want",
+    [
+        ("rice", dict(k=4.0), (4.0, 0.0, math.inf, math.inf)),
+        ("twdp", dict(k=4.0, delta=0.6), (4.0, 0.6, math.inf, math.inf)),
+        ("rician-shadowed", dict(k=4.0, m1=2.5), (4.0, 0.0, 2.5, math.inf)),
+        ("iftr", dict(k=4.0, delta=0.6, m1=2.5, m2=7.0), (4.0, 0.6, 2.5, 7.0)),
+    ],
+)
+def test_family_params_pins_the_fields_a_family_does_not_free(family, fields, want):
+    every = dict(k=4.0, delta=0.6, m1=2.5, m2=7.0)
+    assert family_params(family, 3.0, **fields) == IftrParams(*want, mean_snr=3.0)
+    # Fields the family does not free are ignored.
+    assert family_params(family, 3.0, **every) == IftrParams(*want, mean_snr=3.0)
+    for name in fields:
+        with pytest.raises(ValidationError, match=f"needs {name}$"):
+            family_params(family, **{f: v for f, v in fields.items() if f != name})
+    with pytest.raises(ValidationError, match="family must be one of"):
+        family_params("ftr", **every)
 
 
 def test_modulation_spec_validation():
     bpsk = ModulationSpec.bpsk()
     assert bpsk.terms == ((1.0, 2.0),)
+    assert repr(bpsk) == "ModulationSpec(terms=((1.0, 2.0),))"
+    assert ModulationSpec(((1, 2),)) == bpsk and hash(ModulationSpec(((1, 2),))) == hash(bpsk)
     with pytest.raises(ValidationError):
         ModulationSpec([])
     with pytest.raises(ValidationError):

@@ -5,17 +5,13 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from iftr.params import IftrParams, ValidationError
+from iftr.params import IftrParams, ValidationError, family_params
 from iftr.sim import (
     SimConfig,
     provenance_dict,
     read_samples,
-    sample,
     sample_ftr,
     sample_iftr,
-    sample_rice,
-    sample_rician_shadowed,
-    sample_twdp,
     write_samples,
 )
 from iftr.stats import mgf
@@ -30,8 +26,6 @@ def one_sample_ks(values, cdf_values):
 def test_config_validation():
     with pytest.raises(ValidationError):
         SimConfig(n_samples=0, seed=1)
-    with pytest.raises(ValidationError):
-        SimConfig(n_samples=10, seed=1, model="rayleigh")
     with pytest.raises(ValidationError):
         SimConfig(n_samples=10, seed=1, output="power")
 
@@ -72,7 +66,7 @@ def test_diffuse_only_is_exponential():
 
 def test_rice_k0_is_rayleigh():
     n = 10 ** 7
-    env = np.sort(sample_rice(0.0, 1.0, SimConfig(n_samples=n, seed=2)))
+    env = np.sort(sample_iftr(family_params("rice", k=0.0), SimConfig(n_samples=n, seed=2)))
     ks = one_sample_ks(env, 1.0 - np.exp(-(env ** 2)))
     assert ks < 0.001
 
@@ -88,7 +82,7 @@ def test_empirical_mgf_matches_analytic():
 
 def test_rician_shadowed_nests_into_iftr():
     n = 10 ** 6
-    a = sample_rician_shadowed(5.0, 2.5, 1.0, SimConfig(n_samples=n, seed=10))
+    a = sample_iftr(family_params("rician-shadowed", k=5.0, m1=2.5), SimConfig(n_samples=n, seed=10))
     b = sample_iftr(
         IftrParams(k=5.0, delta=0.0, m1=2.5, m2=7.0, mean_snr=1.0),
         SimConfig(n_samples=n, seed=11),
@@ -98,7 +92,7 @@ def test_rician_shadowed_nests_into_iftr():
 
 def test_twdp_equals_iftr_with_frozen_shapes():
     n = 10 ** 6
-    a = sample_twdp(15.0, 0.9, 1.0, SimConfig(n_samples=n, seed=12))
+    a = sample_iftr(family_params("twdp", k=15.0, delta=0.9), SimConfig(n_samples=n, seed=12))
     b = sample_iftr(
         IftrParams(k=15.0, delta=0.9, m1=1e6, m2=1e6, mean_snr=1.0),
         SimConfig(n_samples=n, seed=13),
@@ -109,7 +103,7 @@ def test_twdp_equals_iftr_with_frozen_shapes():
 def test_ftr_freezes_to_twdp():
     n = 10 ** 6
     a = sample_ftr(15.0, 0.9, 1e6, 1.0, SimConfig(n_samples=n, seed=14))
-    b = sample_twdp(15.0, 0.9, 1.0, SimConfig(n_samples=n, seed=15))
+    b = sample_iftr(family_params("twdp", k=15.0, delta=0.9), SimConfig(n_samples=n, seed=15))
     assert ks_2samp(a, b).statistic < 0.002
 
 
@@ -130,15 +124,11 @@ def test_phase_rotation_invariance():
 
 
 def test_sample_dispatch():
-    cfg = SimConfig(n_samples=100, seed=3, model="twdp")
-    v = sample(cfg, k=5.0, delta=0.5, mean_power=1.0)
+    cfg = SimConfig(n_samples=100, seed=3)
+    v = sample_iftr(family_params("twdp", k=5.0, delta=0.5), cfg)
     assert v.shape == (100,)
-    # Parameters the model does not take are ignored.
-    np.testing.assert_array_equal(sample(cfg, k=5.0, delta=0.5, m=3.0, mean_power=1.0), v)
-    with pytest.raises(ValidationError):
-        sample(SimConfig(n_samples=10, seed=0, model="iftr"))
-    with pytest.raises(ValidationError, match="needs m"):
-        sample(SimConfig(n_samples=10, seed=0, model="rician-shadowed"), k=5.0, mean_power=1.0)
+    # Fields the family does not free are ignored.
+    np.testing.assert_array_equal(sample_iftr(family_params("twdp", k=5.0, delta=0.5, m1=3.0), cfg), v)
 
 
 def per_line_dump(values, provenance):

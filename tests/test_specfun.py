@@ -1,4 +1,7 @@
+import importlib
+import importlib.util
 import math
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +9,10 @@ import pytest
 import scipy.special as sps
 
 import iftr
+import iftr.fitting
 import iftr.laplace
+import iftr.linkperf
+import iftr.sim
 import iftr.specfun
 from iftr.params import IftrParams
 from iftr.specfun import (
@@ -80,10 +86,26 @@ def fd3(*args) -> float:
     return math.exp(lauricella_fd3_ln(*args)[0])
 
 
-@pytest.mark.parametrize("module", [iftr, iftr.specfun, iftr.laplace], ids=lambda m: m.__name__)
+@pytest.mark.parametrize(
+    "module",
+    [iftr, iftr.specfun, iftr.laplace, iftr.params, iftr.stats, iftr.sim, iftr.fitting, iftr.linkperf],
+    ids=lambda m: m.__name__,
+)
 def test_public_names_resolve(module):
     for name in module.__all__:
         assert hasattr(module, name), f"{module.__name__}.__all__ lists missing {name!r}"
+
+
+def test_bench_tracer_layers_resolve():
+    # The benchmark tracer wraps these functions by name at run time.
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for layer, funcs in tracing.LAYERS.items():
+        module = importlib.import_module(f"iftr.{layer}")
+        for name in funcs:
+            assert callable(getattr(module, name, None)), f"bench tracer wraps missing iftr.{layer}.{name}"
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from scipy.special import i0
 
 from iftr.laplace import LaplaceInversionConfig
 from iftr.linkperf import ber_exact, ber_mgf_quadrature
-from iftr.params import IftrParams, ModulationSpec, ValidationError
+from iftr.params import IftrParams, ModulationSpec, ValidationError, family_params
 from iftr.stats import (
     ApproximationWarning,
     DistributionDomain,
@@ -18,10 +18,7 @@ from iftr.stats import (
     mgf,
     mgf_integer_m1,
     pdf,
-    rice_mgf,
-    rician_shadowed_mgf,
     rician_shadowed_pdf,
-    twdp_limit_mgf,
 )
 from iftr.stats import _IntegerShapeForm, _integer_shape_form
 
@@ -53,15 +50,14 @@ def test_mgf_diffuse_only_is_exponential():
 def test_mgf_delta_zero_equals_rician_shadowed_closed_form():
     p = IftrParams(k=5.0, delta=0.0, m1=3.0, m2=17.3, mean_snr=1.0)
     for s in (-0.3, -1.0, -10.0):
-        # With delta = 0 the second ray carries no power, so m2 is inert.
-        assert mgf(p, s) == rician_shadowed_mgf(5.0, 3.0, 1.0, s)
+        # With delta = 0 the second ray carries no power, so m2 is inert:
         # B (1 - (K/m) A)^(-m), A = gbar s / (1 + K - gbar s)
         a_frac = s / (6.0 - s)
         closed = 6.0 / (6.0 - s) * (1.0 - 5.0 / 3.0 * a_frac) ** -3.0
         assert mgf(p, s) == pytest.approx(closed, rel=1e-10)
     for m in (0.0, -1.0):
         with pytest.raises(ValidationError):
-            rician_shadowed_mgf(5.0, m, 1.0, -1.0)
+            family_params("rician-shadowed", k=5.0, m1=m)
 
 
 def test_mgf_pole_proximity_error():
@@ -151,9 +147,11 @@ def test_mgf_complex_contour_magnitude_bound():
 # ---------------------------------------------------------------------------
 
 def test_twdp_limit_normalization_and_rice_reduction():
-    assert twdp_limit_mgf(15.0, 0.9, 1.0, 0.0) == 1.0
+    assert mgf(family_params("twdp", k=15.0, delta=0.9), 0.0) == 1.0
+    # Delta = 0 leaves the Rice MGF B exp(K A), A = gbar s / (1 + K - gbar s).
     for s in (-0.4, -3.0):
-        assert twdp_limit_mgf(7.0, 0.0, 2.0, s) == pytest.approx(rice_mgf(7.0, 2.0, s), rel=1e-14)
+        want = 8.0 / (8.0 - 2.0 * s) * math.exp(7.0 * 2.0 * s / (8.0 - 2.0 * s))
+        assert mgf(family_params("twdp", 2.0, k=7.0, delta=0.0), s) == pytest.approx(want, rel=1e-14)
 
 
 def test_twdp_limit_matches_large_shape_evaluation():
@@ -161,7 +159,7 @@ def test_twdp_limit_matches_large_shape_evaluation():
     p = IftrParams(k=k, delta=delta, m1=1e5, m2=1e5, mean_snr=gbar)
     s = -2.0
     a = mgf(p, s)
-    b = twdp_limit_mgf(k, delta, gbar, s)
+    b = mgf(family_params("twdp", gbar, k=k, delta=delta), s)
     assert a == pytest.approx(b, rel=1e-3)
 
 
@@ -169,13 +167,16 @@ def test_rice_limit_large_shape():
     k, gbar = 15.0, 1.0
     p = IftrParams(k=k, delta=0.0, m1=1e6, m2=3.0, mean_snr=gbar)
     for s in (-0.1, -1.0, -10.0):
-        assert mgf(p, s) == pytest.approx(rice_mgf(k, gbar, s), rel=1e-4)
+        assert mgf(p, s) == pytest.approx(mgf(family_params("rice", gbar, k=k), s), rel=1e-4)
 
 
 def test_frozen_shapes_route_to_twdp():
+    # Frozen rays give the TWDP MGF B exp(K A) I0(Delta K A).
     p = IftrParams(k=15.0, delta=0.9, m1=math.inf, m2=math.inf, mean_snr=1.0)
     for s in (-0.7, -4.0):
-        assert mgf(p, s) == pytest.approx(twdp_limit_mgf(15.0, 0.9, 1.0, s), rel=1e-14)
+        a = s / (16.0 - s)
+        want = 16.0 / (16.0 - s) * math.exp(15.0 * a) * i0(0.9 * 15.0 * a)
+        assert mgf(p, s) == pytest.approx(want, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
