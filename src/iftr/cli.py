@@ -78,18 +78,23 @@ def _parse_grid(spec: str):
     raise ValidationError(f"unknown grid spacing {spacing!r}")
 
 
+def _scale_from_args(args) -> float:
+    """The scale flag that wins: --Omega, then --gamma-bar-db, then --gamma-bar, else 1."""
+    if args.omega is not None:
+        return args.omega
+    if args.gamma_bar_db is not None:
+        return 10.0 ** (args.gamma_bar_db / 10.0)
+    if args.gamma_bar is not None:
+        return args.gamma_bar
+    return 1.0
+
+
 def _params_from_args(args) -> IftrParams:
-    if getattr(args, "params_json", None):
+    """A --params-json file, else the parameter flags."""
+    if args.params_json:
         with open(args.params_json, "r", encoding="utf-8") as fh:
             return params_from_json(fh.read())
-    scale = 1.0
-    if getattr(args, "gamma_bar", None) is not None:
-        scale = args.gamma_bar
-    if getattr(args, "gamma_bar_db", None) is not None:
-        scale = 10.0 ** (args.gamma_bar_db / 10.0)
-    if getattr(args, "omega", None) is not None:
-        scale = args.omega
-    return IftrParams(k=args.K, delta=args.Delta, m1=args.m1, m2=args.m2, mean_snr=scale)
+    return IftrParams(k=args.K, delta=args.Delta, m1=args.m1, m2=args.m2, mean_snr=_scale_from_args(args))
 
 
 def _provenance(args, command: str) -> str:
@@ -188,24 +193,22 @@ def cmd_eval(args) -> int:
 
 def cmd_sample(args) -> int:
     cfg = SimConfig(n_samples=args.n, seed=args.seed, output=args.output)
-    scale = args.omega if args.omega is not None else (args.gamma_bar if args.gamma_bar is not None else 1.0)
-    if args.model == "ftr":
-        values = sample_ftr(args.K, args.Delta, args.m, scale, cfg)
+    fields = dict(K=args.K, Delta=args.Delta, m1=args.m1, m2=args.m2, scale=_scale_from_args(args))
+    if args.params_json:
+        # The file holds a full iftr parameter set, as for eval, ber and outage.
+        if args.model != "iftr":
+            raise ValidationError(f"--params-json gives iftr parameters; --model {args.model} takes them from its flags")
+        p = _params_from_args(args)
+        fields = dict(K=p.k, Delta=p.delta, m1=p.m1, m2=p.m2, scale=p.mean_snr)
+        values = sample_iftr(p, cfg)
+    elif args.model == "ftr":
+        values = sample_ftr(args.K, args.Delta, args.m, fields["scale"], cfg)
     else:
         m1 = args.m if args.model == "rician-shadowed" else args.m1
-        values = sample_iftr(family_params(args.model, scale, k=args.K, delta=args.Delta, m1=m1, m2=args.m2), cfg)
-    prov = provenance_dict(
-        cfg,
-        model=args.model,
-        tool="iftr",
-        version=__version__,
-        K=args.K,
-        Delta=args.Delta,
-        m1=getattr(args, "m1", None),
-        m2=getattr(args, "m2", None),
-        m=getattr(args, "m", None),
-        scale=scale,
-    )
+        values = sample_iftr(
+            family_params(args.model, fields["scale"], k=args.K, delta=args.Delta, m1=m1, m2=args.m2), cfg
+        )
+    prov = provenance_dict(cfg, model=args.model, tool="iftr", version=__version__, m=args.m, **fields)
     prov = {k: ("inf" if v == math.inf else v) for k, v in prov.items() if v is not None}
     write_samples(args.out, values, prov)
     return EXIT_OK

@@ -24,12 +24,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .params import IftrParams, ModulationSpec, ValidationError
 from .sim import SimConfig, sample_iftr
 from .stats import _MAX_SUM_TERMS, _integer_shape_form, cdf, cdf_asymptotic_slope, mgf
-from .specfun import ConvergenceError, lauricella_fd3_ln, theta_quadrature_ln
+from .specfun import ConvergenceError, _log_sum_exp, lauricella_fd3_ln, theta_quadrature_ln
 
 __all__ = [
     "BerResult",
@@ -85,9 +84,9 @@ def ber_exact(p: IftrParams, mod: ModulationSpec) -> BerResult:
             return _quadrature_fallback(p, mod, f"exact closed form did not converge ({exc})")
         term_logs[r] = form.log_coeff + math.log(abs(alpha) / (2.0 * beta)) + log_fd
     signs = np.repeat(np.sign([alpha for alpha, _ in terms]), form.log_coeff.size)
-    log_total, sign = logsumexp(term_logs.ravel(), b=signs, return_sign=True)
+    log_total, sign = _log_sum_exp(term_logs.ravel(), signs)
     value = float(sign) * math.exp(float(log_total))
-    est_error = math.exp(float(logsumexp(term_logs.ravel(), b=term_errs.ravel())) - float(log_total))
+    est_error = math.exp(float(_log_sum_exp(term_logs.ravel(), term_errs.ravel())[0]) - float(log_total))
     return BerResult(value=value, method="lauricella-exact", est_error=est_error)
 
 

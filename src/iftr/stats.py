@@ -391,10 +391,5 @@ def rician_shadowed_pdf(k: float, m: int, mean_snr: float, x):
     rate = (1.0 + k) / mean_snr
     log_pref = math.log(rate) + m_int * (math.log(m_int) - math.log(m_int + k))
     arg_scale = k * rate / (m_int + k)
-    vals = np.array(
-        [
-            math.exp(log_pref - rate * xi + kummer_1f1_ln(m_int, arg_scale * xi))
-            for xi in x_arr
-        ]
-    )
+    vals = np.exp(log_pref - rate * x_arr + kummer_1f1_ln(m_int, arg_scale * x_arr))
     return vals if np.ndim(x) else float(vals[0])

@@ -108,6 +108,40 @@ def test_sample_model_writes_the_direct_draw(tmp_path, model):
     assert prov["model"] == model
 
 
+def test_sample_takes_the_scale_from_gamma_bar_db(tmp_path):
+    out = tmp_path / "s.txt"
+    rc = main(["sample", "--n", "300", "--seed", "5", "--K", "3", "--Delta", "0.5", "--m1", "2",
+               "--m2", "2", "--gamma-bar", "4", "--gamma-bar-db", "10", "--output", "snr", "--out", str(out)])
+    assert rc == 0
+    values, prov = read_samples(out)
+    assert prov["scale"] == 10.0  # --gamma-bar-db over --gamma-bar, as for eval, ber and outage
+    want = sample_iftr(IftrParams(3.0, 0.5, 2.0, 2.0, 10.0), SimConfig(n_samples=300, seed=5, output="snr"))
+    np.testing.assert_array_equal(values, want)
+
+
+def test_sample_draws_from_a_params_json_file(tmp_path):
+    doc = tmp_path / "p.json"
+    doc.write_text(json.dumps({"K": 3, "Delta": 0.5, "m1": 2, "m2": "inf", "mean_snr_db": 10}))
+    out = tmp_path / "s.txt"
+    rc = main(["sample", "--n", "300", "--seed", "5", "--output", "snr", "--params-json", str(doc),
+               "--out", str(out)])
+    assert rc == 0
+    values, prov = read_samples(out)
+    assert (prov["K"], prov["Delta"], prov["m1"], prov["m2"], prov["scale"]) == (3.0, 0.5, 2.0, "inf", 10.0)
+    want = sample_iftr(IftrParams(3.0, 0.5, 2.0, math.inf, 10.0), SimConfig(n_samples=300, seed=5, output="snr"))
+    np.testing.assert_array_equal(values, want)
+
+
+@pytest.mark.parametrize("model", ["ftr", "rice", "rician-shadowed"])
+def test_sample_params_json_with_another_model_is_a_validation_exit(tmp_path, capsys, model):
+    doc = tmp_path / "p.json"
+    doc.write_text(json.dumps({"K": 3, "Delta": 0.5, "m1": 2, "m2": 2, "mean_snr_db": 10}))
+    out = tmp_path / "s.txt"
+    rc = main(["sample", "--model", model, "--n", "10", "--params-json", str(doc), "--out", str(out)])
+    assert rc == 2 and "--params-json" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sample_rejects_zero_n(tmp_path):
     rc = main(["sample", "--model", "iftr", "--n", "0", "--seed", "1",
                "--out", str(tmp_path / "x.txt")])

@@ -2,6 +2,7 @@ import importlib
 import importlib.util
 import math
 import pathlib
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -212,6 +213,65 @@ def test_2f1_rescaled_series_against_mpmath(a):
         assert abs(gi - want) <= 1e-13 * abs(want), zi
 
 
+def ungated_series_2f1_ln(a, b, c, z):
+    """The ascending 2F1 series with its settle and rescale checks on every
+    term: the oracle for the gated kernel, with the same array arithmetic."""
+    limit = iftr.specfun._RESCALE_LIMIT
+    out = np.empty(z.shape, dtype=complex)
+    s = np.ones(z.shape, dtype=complex)
+    term = np.ones(z.shape, dtype=complex)
+    log_scale = np.zeros(z.shape)
+    prev_small = np.zeros(z.shape, dtype=bool)
+    is_open = np.ones(z.shape, dtype=bool)
+    for n in range(100_000):
+        term = term * (z * ((a + n) * (b + n) / ((c + n) * (n + 1.0))))
+        s += term
+        small = np.abs(term) <= 1e-17 * np.abs(s)
+        done = is_open & small & prev_small
+        out[done] = np.log(s[done]) + log_scale[done]
+        is_open &= ~done
+        if not is_open.any():
+            return out
+        prev_small = small
+        big = is_open & ((np.abs(s) > limit) | (np.abs(term) > limit))
+        s[big] /= limit
+        term[big] /= limit
+        log_scale[big] += math.log(limit)
+    raise AssertionError("oracle did not settle")
+
+
+def gate_cases(rng):
+    """(a, b, c, z) batches that stop the check gate at every kind of bound."""
+    for size in (1, 7, 64):
+        def spread(lo, hi):
+            # log-uniform radii, random phases, one real entry
+            r = np.exp(rng.uniform(math.log(lo), math.log(hi), size))
+            z = r * np.exp(1j * rng.uniform(-math.pi, math.pi, size))
+            z[0] = z[0].real
+            return z
+        yield 2.3, 1.7, 1.0, spread(1e-3, 0.85)
+        yield rng.uniform(0.5, 40.0), rng.uniform(0.5, 40.0), rng.uniform(0.5, 9.0), spread(1e-9, 0.9)
+        z = spread(0.05, 0.8)
+        z[-1] = 0.0  # a zero argument stops the gate at the first term
+        yield 3.1, 0.6, 1.0, z
+        yield -7.0, 2.5, 1.0, spread(0.1, 0.9)  # terminating: a zero coefficient
+        yield 1.0 - 1.02, 0.89, 1.0, spread(0.2, 0.9)  # the Euler branch's 1 - m1
+        yield -0.02, 1.0 - rng.uniform(20.0, 60.0), 1.0, spread(1e-4, 0.6)
+        z = spread(0.3, 0.5)
+        z[rng.random(size) < 0.3] = 1e-3
+        yield 237.0 + rng.uniform(0.0, 180.0), 240.0, 1.0, z  # sums pass the rescale limit
+
+
+def test_2f1_check_gate_is_exact():
+    # The kernel skips its settle and rescale checks while majorants show
+    # they cannot fire; the results must equal checking every term.
+    rng = np.random.default_rng(2019)
+    for a, b, c, z in gate_cases(rng):
+        z = np.asarray(z, dtype=complex)
+        got = iftr.specfun._series_2f1_ln(a, b, c, z)
+        assert np.array_equal(got, ungated_series_2f1_ln(a, b, c, z)), (a, b, c, z.size)
+
+
 def test_2f1_empty_array():
     for a in (2.3, -2.0):  # series routes, and the terminating series
         out = hyp2f1_ln(a, 1.5, 1.0, np.empty(0))
@@ -275,6 +335,98 @@ def test_kummer_rejects_bad_order():
         kummer_1f1_ln(0, 1.0)
     with pytest.raises(ValueError):
         kummer_1f1_ln(2.5, 1.0)
+
+
+def test_kummer_array_argument_matches_scalar_calls():
+    z = np.array([0.0, 1e-300, 0.4, 3.0, 75.0, 800.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kummer_1f1_ln(4, z)
+    assert got[0] == 0.0
+    np.testing.assert_allclose(got, [kummer_1f1_ln(4, zi) for zi in z], rtol=1e-15, atol=0.0)
+    assert kummer_1f1_ln(4, z.reshape(2, 3)).shape == (2, 3)
+    with pytest.raises(ValueError):
+        kummer_1f1_ln(2, np.array([1.0, -0.5]))
+
+
+# ---------------------------------------------------------------------------
+# Log-sum-exp (oracle: scipy.special.logsumexp)
+# ---------------------------------------------------------------------------
+
+def assert_log_close(got, want):
+    # log|S| to 1e-15 absolute near zero and relative beyond: 1e-15 of S itself
+    got, want = np.broadcast_arrays(np.asarray(got, dtype=float), np.asarray(want, dtype=float))
+    same_inf = np.isinf(want) & (got == want)
+    err = np.abs(np.subtract(got, want, out=np.zeros(want.shape), where=~same_inf)) / np.maximum(1.0, np.abs(want))
+    assert np.all(err <= 1e-15), err.max()
+
+
+def test_log_sum_exp_against_scipy():
+    rng = np.random.default_rng(2021)
+    lse = iftr.specfun._log_sum_exp
+    log_x = rng.uniform(-30.0, 5.0, (40, 33)) + rng.choice([0.0, -700.0, 700.0], (40, 1))
+    log_x[3, :5] = -np.inf
+    log_x[4, :] = -np.inf  # a row without terms
+    log_x[5, :] = 0.0  # all tied
+    log_x[6] = -40.0  # log S just above zero
+    log_x[6, 0] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, sign = lse(log_x)
+        assert_log_close(got, sps.logsumexp(log_x, axis=-1))
+        assert got[4] == -np.inf and sign[4] == 0.0 and np.all(np.delete(sign, 4) == 1.0)
+
+        # Signed weights, the larger part positive or negative, and zero
+        # weights, on the largest log and on an infinite or NaN log too.
+        w = rng.uniform(0.5, 2.0, log_x.shape) * rng.choice([1.0, -0.3], log_x.shape)
+        w[::2] *= -1.0
+        w[:, 7] = 0.0
+        w[7:9, :] = 0.0  # rows with every weight zero
+        log_x[:, 7] = np.where(np.arange(40) % 3 == 0, np.inf, 50.0)
+        log_x[10, 7] = np.nan
+        got, sign = lse(log_x, w)
+        want, want_sign = sps.logsumexp(log_x, axis=-1, b=w, return_sign=True)
+        assert_log_close(got, want)
+        assert np.array_equal(sign, want_sign)
+        assert np.all(sign[7:9] == 0.0) and np.all(got[7:9] == -np.inf)
+        assert np.any(sign < 0.0) and np.any(sign > 0.0)
+
+        # Terms that cancel exactly.
+        assert lse(np.array([1.5, 1.5]), np.array([2.0, -2.0])) == (-np.inf, 0.0)
+
+
+def test_ber_exact_sums_against_scipy_with_zero_term_errors(monkeypatch):
+    # ber_exact adds its signed Lauricella terms, and their error estimates
+    # (exactly zero for some terms here), with the helper.
+    from iftr.linkperf import ber_exact
+    from iftr.params import ModulationSpec
+    from iftr.stats import _integer_shape_form
+
+    real_fd3 = iftr.linkperf.lauricella_fd3_ln
+    seen = []
+
+    def fd3_with_some_exact_terms(*args):
+        log_fd, err = real_fd3(*args)
+        err = np.where(np.arange(err.size) % 2 == 0, 0.0, err)
+        seen.append((log_fd, err))
+        return log_fd, err
+
+    monkeypatch.setattr(iftr.linkperf, "lauricella_fd3_ln", fd3_with_some_exact_terms)
+    p = IftrParams(k=15.0, delta=0.5, m1=5, m2=2, mean_snr=10.0)
+    mod = ModulationSpec([(2.0, 0.3), (-0.5, 1.2)])
+    got = ber_exact(p, mod)
+    log_coeff = _integer_shape_form(p).log_coeff
+    logs = np.concatenate(
+        [log_coeff + math.log(abs(al) / (2.0 * be)) + log_fd for (al, be), (log_fd, _) in zip(mod.terms, seen)]
+    )
+    errs = np.concatenate([err for _, err in seen])
+    signs = np.repeat([1.0, -1.0], log_coeff.size)
+    log_total, sign = sps.logsumexp(logs, b=signs, return_sign=True)
+    log_err = sps.logsumexp(logs, b=errs)
+    assert np.any(errs == 0.0) and np.any(errs > 0.0)
+    assert sign == 1.0 and got.est_error > 0.0
+    assert_log_close(math.log(got.value), log_total)
+    assert_log_close(math.log(got.est_error) + log_total, log_err)
 
 
 # ---------------------------------------------------------------------------

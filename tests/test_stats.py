@@ -265,6 +265,25 @@ def test_pdf_close_to_rician_shadowed_at_small_delta():
     assert got == pytest.approx(ref, rel=0.02)
 
 
+def test_rician_shadowed_pdf_on_the_fig2_grid_matches_per_point_sums():
+    # One array call against the closed form summed point by point with
+    # scipy's logsumexp, in the same order of operations.
+    from scipy.special import gammaln, logsumexp
+
+    k, m = 15.0, 3
+    x = np.linspace(0.01, 4.0, 400)
+    rate = 1.0 + k
+    log_pref = math.log(rate) + m * (math.log(m) - math.log(m + k))
+    n = np.arange(m)
+    log_binom = gammaln(m) - gammaln(n + 1) - gammaln(m - n)
+
+    def log_1f1(z):
+        return z + float(logsumexp(log_binom + n * math.log(z) - gammaln(n + 1)))
+
+    want = [math.exp(log_pref - rate * xi + log_1f1(k * rate / (m + k) * xi)) for xi in x]
+    np.testing.assert_allclose(rician_shadowed_pdf(k, m, 1.0, x), want, rtol=1e-14, atol=0.0)
+
+
 def test_rician_shadowed_pdf_normalizes():
     total, _ = quad(lambda x: rician_shadowed_pdf(7.0, 4, 1.0, x), 0.0, 80.0, limit=300)
     assert total == pytest.approx(1.0, abs=1e-8)
