@@ -49,12 +49,6 @@ EXIT_NUMERICAL = 3
 EVAL_QUANTITIES = ("pdf-envelope", "pdf-snr", "cdf-snr", "ccdf-envelope")
 
 
-def _parse_shape(text: str) -> float:
-    if text.lower() in ("inf", "infinity"):
-        return math.inf
-    return float(text)
-
-
 def _parse_grid(spec: str):
     """start:stop:count[:linear|log|db] -> (ndarray, spacing tag)."""
     parts = spec.split(":")
@@ -83,34 +77,60 @@ def _scale_from_args(args) -> float:
     if args.omega is not None:
         return args.omega
     if args.gamma_bar_db is not None:
+        if not abs(args.gamma_bar_db) <= 3000.0:
+            raise ValidationError(f"--gamma-bar-db must lie within +-3000 dB, got {args.gamma_bar_db}")
         return 10.0 ** (args.gamma_bar_db / 10.0)
     if args.gamma_bar is not None:
         return args.gamma_bar
     return 1.0
 
 
-def _params_from_args(args) -> IftrParams:
-    """A --params-json file, else the parameter flags."""
-    if args.params_json:
+# Each parameter flag at its value when unset.  A FAMILIES row reads the
+# flags of its free fields; ftr reads --m, the shape both its rays share.
+# A model pins every flag it does not read.
+_UNSET = {"K": 0.0, "Delta": 0.0, "m1": math.inf, "m2": math.inf, "m": math.inf}
+_FLAG = {"k": "K", "delta": "Delta", "m1": "m1", "m2": "m2"}
+_READS = {model: [_FLAG[field] for field in free] for model, free in FAMILIES.items()}
+_READS["ftr"] = ["K", "Delta", "m"]
+_SCALES = ("omega", "gamma_bar_db", "gamma_bar")
+
+
+def _reject(args, why: str, *dests: str) -> None:
+    """Raise ValidationError naming the first of the dests that was given."""
+    for dest in dests:
+        if getattr(args, dest, None) is not None:
+            flag = "--Omega" if dest == "omega" else "--" + dest.replace("_", "-")
+            raise ValidationError(f"{flag} {why}")
+
+
+def _params_from_args(args, model: str = "iftr"):
+    """(channel, {flag: value} of the flags `model` reads): the one place
+    parameters are resolved.  A --params-json file gives a whole iftr
+    channel, else the flags `model` reads do, each unset one at _UNSET; ftr
+    is iftr with both shapes at --m.  A flag the model pins, or a parameter
+    or scale flag beside --params-json or --preset, raises naming it."""
+    if getattr(args, "preset", None):
+        _reject(args, "cannot be given with --preset", "params_json", *_UNSET, *_SCALES)
+    if args.params_json is not None:
+        _reject(args, "cannot be given with --params-json", *_UNSET, *_SCALES)
+        if model != "iftr":
+            raise ValidationError(f"--params-json gives iftr parameters; --model {model} takes them from its flags")
         with open(args.params_json, "r", encoding="utf-8") as fh:
-            return params_from_json(fh.read())
-    return IftrParams(k=args.K, delta=args.Delta, m1=args.m1, m2=args.m2, mean_snr=_scale_from_args(args))
+            p = params_from_json(fh.read())
+    else:
+        _reject(args, f"is pinned by --model {model}", *(flag for flag in _UNSET if flag not in _READS[model]))
+        given = {flag: getattr(args, flag) for flag in _READS[model] if getattr(args, flag) is not None}
+        v = {**_UNSET, **given}
+        if model == "ftr":
+            v["m1"] = v["m2"] = v["m"]
+        family = "iftr" if model == "ftr" else model
+        p = family_params(family, _scale_from_args(args), k=v["K"], delta=v["Delta"], m1=v["m1"], m2=v["m2"])
+    resolved = {"K": p.k, "Delta": p.delta, "m1": p.m1, "m2": p.m2, "m": p.m1}
+    return p, {flag: resolved[flag] for flag in _READS[model]}
 
 
-def _provenance(args, command: str) -> str:
-    cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None}
-    doc = {"tool": "iftr", "version": __version__, "command": command, "config": cfg}
-    return "# " + json.dumps(doc, sort_keys=True, default=str)
-
-
-def _write_csv(args, command: str, grid_name: str, grid, cols: dict) -> int:
-    """Provenance line, header, then one row per grid point: the abscissa
-    followed by each column's value."""
-    lines = [_provenance(args, command), ",".join([grid_name, *cols])]
-    lines.extend(
-        ",".join([_fmt(x)] + [_fmt(col[i]) for col in cols.values()]) for i, x in enumerate(grid)
-    )
-    text = "\n".join(lines) + "\n"
+def _write(args, text: str) -> int:
+    """Write text to --out, else to stdout."""
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -119,13 +139,21 @@ def _write_csv(args, command: str, grid_name: str, grid, cols: dict) -> int:
     return EXIT_OK
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _write_csv(args, used: dict, command: str, grid_name: str, grid, cols: dict) -> int:
+    """Provenance line (the flags given, with the resolved parameters `used`),
+    header, then one row per grid point: the abscissa, then each column."""
+    cfg = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
+    doc = {"tool": "iftr", "version": __version__, "command": command, "config": {**cfg, **used}}
+    lines = ["# " + json.dumps(doc, sort_keys=True, default=str), ",".join([grid_name, *cols])]
+    for i, x in enumerate(grid):
+        row = [x] + [col[i] for col in cols.values()]
+        lines.append(",".join(repr(float(v)) for v in row))
+    return _write(args, "\n".join(lines) + "\n")
 
 
-# --------------------------------------------------------------------------
-# Figure-regeneration presets (parameter sets of the reference curves).
-# --------------------------------------------------------------------------
+# Figure-regeneration presets (parameter sets of the reference curves).  An
+# eval preset is (abscissae, quantity, curves); a curve is the IftrParams
+# fields of a unit-scale channel, or a closed-form density of the abscissae.
 
 FIG1_CURVES = [("iftr_m2", dict(k=15, delta=0.9, m1=2, m2=2)),
                ("iftr_m10", dict(k=15, delta=0.9, m1=10, m2=10))]
@@ -141,81 +169,53 @@ FIG5_CURVES = [("K10_d0.1_m1_2_m2_8", dict(k=10, delta=0.1, m1=2, m2=8)),
                ("K10_d0.9_m1_2_m2_8", dict(k=10, delta=0.9, m1=2, m2=8)),
                ("K80_d0.9_m1_2_m2_8", dict(k=80, delta=0.9, m1=2, m2=8)),
                ("K10_d0.9_m1_8_m2_2", dict(k=10, delta=0.9, m1=8, m2=2))]
+EVAL_PRESETS = {
+    "fig1": (np.linspace(0.01, 3.0, 300), "pdf-envelope", FIG1_CURVES),
+    "fig2": (np.linspace(0.01, 4.0, 400), "pdf-snr",
+             [*FIG2_CURVES, ("rician_shadowed_m3", lambda x: rician_shadowed_pdf(15.0, 3, 1.0, x))]),
+    "fig3": (np.logspace(-4, 1, 251), "cdf-snr", FIG3_CURVES),
+}
 
 
-def _eval_preset(args) -> int:
-    cfg = LaplaceInversionConfig()
-    if args.preset == "fig1":
-        grid = np.linspace(0.01, 3.0, 300)
-        cols = {}
-        for name, kw in FIG1_CURVES:
-            p = IftrParams(mean_snr=1.0, **kw)
-            cols[name] = pdf(p, grid, domain=DistributionDomain.ENVELOPE, cfg=cfg)
-    elif args.preset == "fig2":
-        grid = np.linspace(0.01, 4.0, 400)
-        cols = {}
-        for name, kw in FIG2_CURVES:
-            p = IftrParams(mean_snr=1.0, **kw)
-            cols[name] = pdf(p, grid, cfg=cfg)
-        cols["rician_shadowed_m3"] = rician_shadowed_pdf(15.0, 3, 1.0, grid)
-    elif args.preset == "fig3":
-        grid = np.logspace(-4, 1, 251)
-        cols = {}
-        for name, kw in FIG3_CURVES:
-            p = IftrParams(mean_snr=1.0, **kw)
-            cols[name] = cdf(p, grid, cfg=cfg)
-    else:
-        raise ValidationError(f"eval preset must be fig1|fig2|fig3, got {args.preset!r}")
-    return _write_csv(args, "eval", "x", grid, cols)
+def _curve(quantity: str, p: IftrParams, x, cfg: LaplaceInversionConfig | None = None):
+    """One EVAL_QUANTITIES curve of channel p at abscissae x."""
+    domain = DistributionDomain.ENVELOPE if quantity.endswith("envelope") else DistributionDomain.SNR
+    if quantity.startswith("pdf"):
+        return pdf(p, x, domain=domain, cfg=cfg)
+    values = cdf(p, x, domain=domain, cfg=cfg)
+    return 1.0 - values if quantity.startswith("ccdf") else values
 
 
 def cmd_eval(args) -> int:
-    if args.preset:
-        return _eval_preset(args)
-    if args.quantity not in EVAL_QUANTITIES:
-        raise ValidationError(
-            f"quantity must be one of {EVAL_QUANTITIES} (use the ber/outage subcommands for sweeps)"
-        )
-    p = _params_from_args(args)
-    grid, spacing = _parse_grid(args.grid)
-    envelope = args.quantity.endswith("envelope")
-    if spacing == "db":
-        grid = 10.0 ** (grid / (20.0 if envelope else 10.0))
-    domain = DistributionDomain.ENVELOPE if envelope else DistributionDomain.SNR
-    if args.quantity.startswith("pdf"):
-        values = pdf(p, grid, domain=domain)
-    else:
-        values = cdf(p, grid, domain=domain)
-        if args.quantity.startswith("ccdf"):
-            values = 1.0 - values
-    return _write_csv(args, "eval", "x", grid, {"value": values})
+    p, used = _params_from_args(args)
+    if not args.preset:
+        grid, spacing = _parse_grid(args.grid)
+        if spacing == "db":
+            grid = 10.0 ** (grid / (20.0 if args.quantity.endswith("envelope") else 10.0))
+        return _write_csv(args, used, "eval", "x", grid, {"value": _curve(args.quantity, p, grid)})
+    grid, quantity, curves = EVAL_PRESETS[args.preset]
+    cfg = LaplaceInversionConfig()
+    cols = {}
+    for name, kw in curves:
+        cols[name] = kw(grid) if callable(kw) else _curve(quantity, IftrParams(**kw), grid, cfg)
+    return _write_csv(args, used, "eval", "x", grid, cols)
 
 
 def cmd_sample(args) -> int:
     cfg = SimConfig(n_samples=args.n, seed=args.seed, output=args.output)
-    fields = dict(K=args.K, Delta=args.Delta, m1=args.m1, m2=args.m2, scale=_scale_from_args(args))
-    if args.params_json:
-        # The file holds a full iftr parameter set, as for eval, ber and outage.
-        if args.model != "iftr":
-            raise ValidationError(f"--params-json gives iftr parameters; --model {args.model} takes them from its flags")
-        p = _params_from_args(args)
-        fields = dict(K=p.k, Delta=p.delta, m1=p.m1, m2=p.m2, scale=p.mean_snr)
-        values = sample_iftr(p, cfg)
-    elif args.model == "ftr":
-        values = sample_ftr(args.K, args.Delta, args.m, fields["scale"], cfg)
+    p, used = _params_from_args(args, args.model)
+    if args.model == "ftr":
+        values = sample_ftr(p.k, p.delta, p.m1, p.mean_snr, cfg)
     else:
-        m1 = args.m if args.model == "rician-shadowed" else args.m1
-        values = sample_iftr(
-            family_params(args.model, fields["scale"], k=args.K, delta=args.Delta, m1=m1, m2=args.m2), cfg
-        )
-    prov = provenance_dict(cfg, model=args.model, tool="iftr", version=__version__, m=args.m, **fields)
-    prov = {k: ("inf" if v == math.inf else v) for k, v in prov.items() if v is not None}
-    write_samples(args.out, values, prov)
+        values = sample_iftr(p, cfg)
+    prov = provenance_dict(cfg, model=args.model, tool="iftr", version=__version__, scale=p.mean_snr, **used)
+    write_samples(args.out, values, {k: ("inf" if v == math.inf else v) for k, v in prov.items()})
     return EXIT_OK
 
 
 def _modulation_from_args(args) -> ModulationSpec:
     if args.mod == "bpsk":
+        _reject(args, "needs --mod custom", "alpha", "beta")
         return ModulationSpec.bpsk()
     if not args.alpha or not args.beta or len(args.alpha) != len(args.beta):
         raise ValidationError("custom modulation needs matching --alpha/--beta lists")
@@ -223,50 +223,55 @@ def _modulation_from_args(args) -> ModulationSpec:
 
 
 def _sweep_db(args) -> np.ndarray:
-    if args.db_stop <= args.db_start:
-        raise ValidationError("need db-stop > db-start")
-    return np.arange(args.db_start, args.db_stop + 0.5 * args.db_step, args.db_step)
+    """The mean-SNR sweep in dB; NaN fails every check."""
+    _reject(args, "cannot be given with a sweep, which sets the mean SNR", *_SCALES)
+    if args.preset and args.monte_carlo:
+        raise ValidationError("--monte-carlo cannot be given with --preset")
+    if not args.db_step > 0.0:
+        raise ValidationError(f"need db-step > 0, got {args.db_step}")
+    if not 0.0 < (args.db_stop - args.db_start) / args.db_step <= 1e6:
+        raise ValidationError("need db-stop > db-start, at most 1e6 steps apart")
+    db = np.arange(args.db_start, args.db_stop + 0.5 * args.db_step, args.db_step)
+    if not np.all(np.abs(db) <= 3000.0):
+        raise ValidationError("the sweep must lie within +-3000 dB")
+    return db
 
 
 def cmd_ber(args) -> int:
     mod = _modulation_from_args(args)
     db = _sweep_db(args)
+    unit, used = _params_from_args(args)
+    unit = unit.with_mean_snr(1.0)
     # Mean SNR is a pure scale: each curve's asymptote falls as 1 / gbar, and
     # the sampler applies gbar as its last multiply, so one unit-mean draw
     # times gbar is exactly the draw at gbar.
-    if args.preset == "fig4":
+    if args.preset:
         gbar = 10.0 ** (db / 10.0)
-        cols = {}
-        for m1 in FIG4_M1:
-            unit = IftrParams(k=15, delta=0.5, m1=m1, m2=2, mean_snr=1.0)
-            cols[f"exact_m1_{m1}"] = [ber_exact(unit.with_mean_snr(g), mod).value for g in gbar]
-            cols[f"asymptotic_m1_{m1}"] = ber_asymptotic(unit, mod).value / gbar
-        return _write_csv(args, "ber", "gamma_bar_db", db, cols)
-    unit = _params_from_args(args).with_mean_snr(1.0)
-    gbar = [10.0 ** (d / 10.0) for d in db]
-    route = ber_exact if _integer_shape_form(unit) is not None else ber_mgf_quadrature
-    asym = ber_asymptotic(unit, mod).value
-    cols = {
-        "exact": [route(unit.with_mean_snr(g), mod).value for g in gbar],
-        "asymptotic": [asym / g for g in gbar],
-    }
+        curves = [(f"_m1_{m1}", IftrParams(k=15, delta=0.5, m1=m1, m2=2)) for m1 in FIG4_M1]
+    else:
+        gbar = [10.0 ** (d / 10.0) for d in db]
+        curves = [("", unit)]
+    cols = {}
+    for suffix, p in curves:
+        route = ber_exact if _integer_shape_form(p) is not None else ber_mgf_quadrature
+        asym = ber_asymptotic(p, mod).value
+        cols["exact" + suffix] = [route(p.with_mean_snr(g), mod).value for g in gbar]
+        cols["asymptotic" + suffix] = [asym / g for g in gbar]
     if args.monte_carlo:
         snr = sample_iftr(unit, SimConfig(n_samples=args.monte_carlo, seed=args.seed, output="snr"))
         cols["monte_carlo"] = [mod.cep(snr * g).mean() for g in gbar]
-    return _write_csv(args, "ber", "gamma_bar_db", db, cols)
+    return _write_csv(args, used, "ber", "gamma_bar_db", db, cols)
 
 
 def cmd_outage(args) -> int:
     db = _sweep_db(args)
-    if args.preset == "fig5":
+    unit, used = _params_from_args(args)
+    unit = unit.with_mean_snr(1.0)
+    if args.preset:
         cols = {}
         for name, kw in FIG5_CURVES:
-            vals = []
-            for g in 10.0 ** (db / 10.0):
-                vals.append(outage(IftrParams(mean_snr=g, **kw), args.Rs))
-            cols[name] = vals
-        return _write_csv(args, "outage", "gamma_bar_db", db, cols)
-    unit = _params_from_args(args).with_mean_snr(1.0)
+            cols[name] = [outage(IftrParams(mean_snr=g, **kw), args.Rs) for g in 10.0 ** (db / 10.0)]
+        return _write_csv(args, used, "outage", "gamma_bar_db", db, cols)
     gbar = [10.0 ** (d / 10.0) for d in db]
     asym = outage_asymptotic(unit, args.Rs)
     cols = {
@@ -276,7 +281,7 @@ def cmd_outage(args) -> int:
     if args.monte_carlo:
         snr = sample_iftr(unit, SimConfig(n_samples=args.monte_carlo, seed=args.seed, output="snr"))
         cols["monte_carlo"] = [np.mean(snr * g < 2.0 ** args.Rs - 1.0) for g in gbar]
-    return _write_csv(args, "outage", "gamma_bar_db", db, cols)
+    return _write_csv(args, used, "outage", "gamma_bar_db", db, cols)
 
 
 def cmd_fit(args) -> int:
@@ -298,32 +303,22 @@ def cmd_fit(args) -> int:
         )
         results[family] = fit(emp, cfg)
     if args.compare:
-        doc = {
-            "comparison": {
-                fam: json.loads(fit_result_to_json(r, args.restarts)) for fam, r in results.items()
-            }
-        }
-        text = json.dumps(doc, sort_keys=True)
+        comparison = {fam: json.loads(fit_result_to_json(r, args.restarts)) for fam, r in results.items()}
+        text = json.dumps({"comparison": comparison}, sort_keys=True)
     else:
         text = fit_result_to_json(results[args.model], args.restarts)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
-    return EXIT_OK
+    return _write(args, text + "\n")
 
 
-def _add_param_flags(sp, shapes=True):
-    sp.add_argument("--K", type=float, default=0.0, help="specular-to-diffuse power ratio")
-    sp.add_argument("--Delta", type=float, default=0.0, help="ray similarity index in [0, 1]")
-    if shapes:
-        sp.add_argument("--m1", type=_parse_shape, default=math.inf, help="shape of the stronger-ray fluctuation ('inf' freezes it)")
-        sp.add_argument("--m2", type=_parse_shape, default=math.inf, help="shape of the weaker-ray fluctuation")
+def _add_param_flags(sp):
+    sp.add_argument("--K", type=float, default=None, help="specular-to-diffuse power ratio (default 0)")
+    sp.add_argument("--Delta", type=float, default=None, help="ray similarity index in [0, 1] (default 0)")
+    sp.add_argument("--m1", type=float, default=None, help="shape of the stronger-ray fluctuation ('inf', the default, freezes it)")
+    sp.add_argument("--m2", type=float, default=None, help="shape of the weaker-ray fluctuation (default inf)")
     sp.add_argument("--gamma-bar", type=float, default=None, help="mean SNR, linear")
     sp.add_argument("--gamma-bar-db", type=float, default=None, help="mean SNR in dB")
     sp.add_argument("--Omega", dest="omega", type=float, default=None, help="mean squared envelope (envelope-domain scale)")
-    sp.add_argument("--params-json", default=None, help="JSON parameter document file")
+    sp.add_argument("--params-json", default=None, help="JSON parameter document file, in place of the flags above")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,13 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("eval", help="evaluate a distribution curve to CSV")
     _add_param_flags(sp)
-    sp.add_argument("--quantity", default="cdf-snr", help="|".join(EVAL_QUANTITIES))
-    sp.add_argument(
-        "--grid",
-        default="0.1:10:100",
-        help="start:stop:count[:linear|log|db]; use --grid=-10:5:40:db for negative starts",
-    )
-    sp.add_argument("--preset", default=None, help="fig1|fig2|fig3 reference curve sets")
+    sp.add_argument("--quantity", default="cdf-snr", choices=EVAL_QUANTITIES)
+    sp.add_argument("--grid", default="0.1:10:100",
+                    help="start:stop:count[:linear|log|db]; use --grid=-10:5:40:db for negative starts")
+    sp.add_argument("--preset", default=None, choices=tuple(EVAL_PRESETS), help="reference curve sets")
     sp.add_argument("--out", default=None, help="output CSV path (default stdout)")
     sp.set_defaults(func=cmd_eval)
 
@@ -348,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True, help="number of samples")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--output", default="envelope", choices=OUTPUTS)
-    sp.add_argument("--m", type=_parse_shape, default=math.inf, help="shared/single fluctuation shape (ftr, rician-shadowed)")
+    sp.add_argument("--m", type=float, default=None, help="ftr's fluctuation shape, shared by both rays (default inf)")
     _add_param_flags(sp)
     sp.add_argument("--out", required=True, help="output sample file")
     sp.set_defaults(func=cmd_sample)
@@ -361,10 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--db-step", type=float, default=1.0)
         sp.add_argument("--monte-carlo", type=int, default=0, help="add a Monte Carlo column with this many samples per point")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--preset", default=None, help=f"{extra} reference sweep")
+        sp.add_argument("--preset", default=None, choices=(extra,), help="reference sweep")
         sp.add_argument("--out", default=None)
         if name == "ber":
-            sp.add_argument("--mod", default="bpsk", help="bpsk or 'custom' with --alpha/--beta")
+            sp.add_argument("--mod", default="bpsk", choices=("bpsk", "custom"), help="'custom' takes --alpha/--beta")
             sp.add_argument("--alpha", type=float, action="append", default=None)
             sp.add_argument("--beta", type=float, action="append", default=None)
         else:
@@ -389,9 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage error (2), or --help/--version (0)
+        return exc.code
+    try:
         return args.func(args)
     except (ValidationError, ValueError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -113,6 +113,8 @@ class FitConfig:
             )
         if self.restarts < 1:
             raise ValidationError("restarts must be >= 1")
+        if not self.m1_grid:
+            raise ValidationError("m1_grid must not be empty")
         if not all(int(m) == m and m >= 1 for m in self.m1_grid):
             raise ValidationError("m1_grid must contain positive integers")
 
@@ -289,6 +291,8 @@ def empirical_cdf_from_samples(samples, domain=DistributionDomain.SNR, n_points:
     """
     s = np.sort(np.asarray(samples, dtype=float))
     n = len(s)
+    if n == 0 or n_points < 8:
+        raise ValidationError(f"need samples and n_points >= 8, got {n} samples and n_points {n_points}")
     p_min = max(20.0 / n, 1e-5)
     levels = np.logspace(math.log10(p_min), math.log10(_P_MAX), n_points)
     idx = np.minimum((levels * n).astype(int), n - 1)

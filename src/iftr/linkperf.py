@@ -149,11 +149,19 @@ def ber_monte_carlo(p: IftrParams, mod: ModulationSpec, n_samples: int = 10_000_
     return BerResult(value=value, method="monte-carlo", est_error=se / value if value > 0 else math.inf)
 
 
+def _snr_threshold(rate_threshold: float) -> float:
+    """The SNR 2^Rs - 1 at which log2(1 + gamma) reaches ``rate_threshold``.
+
+    NaN fails the range check; from 1024 on, 2^Rs overflows a float.
+    """
+    if not 0.0 <= rate_threshold < 1024.0:
+        raise ValidationError(f"rate threshold must lie in [0, 1024), got {rate_threshold}")
+    return 2.0 ** rate_threshold - 1.0
+
+
 def outage(p: IftrParams, rate_threshold: float) -> float:
     """Probability that log2(1 + gamma) falls below ``rate_threshold``."""
-    if rate_threshold < 0.0:
-        raise ValidationError(f"rate threshold must be >= 0, got {rate_threshold}")
-    x = 2.0 ** rate_threshold - 1.0
+    x = _snr_threshold(rate_threshold)
     if x == 0.0:
         return 0.0
     return float(cdf(p, x))
@@ -161,6 +169,4 @@ def outage(p: IftrParams, rate_threshold: float) -> float:
 
 def outage_asymptotic(p: IftrParams, rate_threshold: float) -> float:
     """High-mean-SNR outage approximation: origin CDF slope times threshold."""
-    if rate_threshold < 0.0:
-        raise ValidationError(f"rate threshold must be >= 0, got {rate_threshold}")
-    return cdf_asymptotic_slope(p) * (2.0 ** rate_threshold - 1.0)
+    return cdf_asymptotic_slope(p) * _snr_threshold(rate_threshold)

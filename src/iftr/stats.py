@@ -298,7 +298,8 @@ def _inversion_route(p: IftrParams, x_snr: np.ndarray, cfg, method: str):
     else:
         raise ValueError(f"unknown method {method!r}")
     demand = float(np.max(x_snr)) * (1.0 + p.k) / p.mean_snr
-    needed = int(math.ceil(2.0 * demand / math.pi)) + 16
+    # Capped before int(), which an infinite demand (K near 1e308) overflows.
+    needed = int(math.ceil(min(2.0 * demand / math.pi, 1e6))) + 16
     if cfg is None:
         cfg = LaplaceInversionConfig(terms=min(max(64, needed), 512))
     if needed > cfg.terms:
@@ -323,8 +324,8 @@ def pdf(p: IftrParams, x, domain=DistributionDomain.SNR, cfg: LaplaceInversionCo
     """
     domain = DistributionDomain(domain)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x_arr < 0.0):
-        raise ValueError("abscissae must be >= 0")
+    if not np.all(x_arr >= 0.0):
+        raise ValueError("abscissae must be >= 0 and not NaN")
     at_zero = x_arr == 0.0
     if at_zero.any():
         warnings.warn(
@@ -353,8 +354,8 @@ def cdf(p: IftrParams, x, domain=DistributionDomain.SNR, cfg: LaplaceInversionCo
     """
     domain = DistributionDomain(domain)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x_arr < 0.0):
-        raise ValueError("abscissae must be >= 0")
+    if not np.all(x_arr >= 0.0):
+        raise ValueError("abscissae must be >= 0 and not NaN")
     positive = x_arr > 0.0
     out = np.zeros(x_arr.shape, dtype=float)
     if positive.any():

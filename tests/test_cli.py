@@ -94,14 +94,21 @@ SAMPLE_MODELS = {
     "rice": lambda cfg: sample_iftr(IftrParams(7.0, 0.0, math.inf, math.inf, 2.0), cfg),
     "rician-shadowed": lambda cfg: sample_iftr(IftrParams(7.0, 0.0, 3.0, math.inf, 2.0), cfg),
 }
+# The flags each model reads; any other parameter flag exits 2.
+SAMPLE_FLAGS = {
+    "iftr": ["--K", "7", "--Delta", "0.6", "--m1", "2.5", "--m2", "4"],
+    "ftr": ["--K", "7", "--Delta", "0.6", "--m", "3"],
+    "twdp": ["--K", "7", "--Delta", "0.6"],
+    "rice": ["--K", "7"],
+    "rician-shadowed": ["--K", "7", "--m1", "3"],
+}
 
 
 @pytest.mark.parametrize("model", SAMPLE_MODELS)
 def test_sample_model_writes_the_direct_draw(tmp_path, model):
     out = tmp_path / "s.txt"
-    rc = main(["sample", "--model", model, "--n", "300", "--seed", "5", "--K", "7", "--Delta", "0.6",
-               "--m1", "2.5", "--m2", "4", "--m", "3", "--gamma-bar", "2", "--output", "snr",
-               "--out", str(out)])
+    rc = main(["sample", "--model", model, "--n", "300", "--seed", "5", *SAMPLE_FLAGS[model],
+               "--gamma-bar", "2", "--output", "snr", "--out", str(out)])
     assert rc == 0
     values, prov = read_samples(out)
     np.testing.assert_array_equal(values, SAMPLE_MODELS[model](SimConfig(n_samples=300, seed=5, output="snr")))
@@ -285,6 +292,128 @@ def test_ber_route_choice_beyond_term_cap(capsys):
     for db, value in rows[:, :2]:
         p = IftrParams(k=5, delta=0.5, m1=500, m2=2.5, mean_snr=10 ** (db / 10.0))
         assert value == pytest.approx(ber_mgf_quadrature(p, ModulationSpec.bpsk()).value, rel=1e-15)
+
+
+def test_sample_rician_shadowed_takes_its_shape_from_m1(tmp_path, capsys):
+    shadowed, rice = tmp_path / "rs.txt", tmp_path / "rice.txt"
+    common = ["--n", "300", "--seed", "5", "--K", "3", "--output", "snr"]
+    assert main(["sample", "--model", "rician-shadowed", *common, "--m1", "3", "--out", str(shadowed)]) == 0
+    assert main(["sample", "--model", "rice", *common, "--out", str(rice)]) == 0
+    values, prov = read_samples(shadowed)
+    want = sample_iftr(IftrParams(3.0, 0.0, 3.0, math.inf), SimConfig(n_samples=300, seed=5, output="snr"))
+    np.testing.assert_array_equal(values, want)
+    assert not np.array_equal(values, read_samples(rice)[0])
+    # The header lists the fields the model used, and only those.
+    assert {k: prov.get(k) for k in ("K", "Delta", "m1", "m2", "m", "scale")} == {
+        "K": 3.0, "Delta": None, "m1": 3.0, "m2": None, "m": None, "scale": 1.0}
+    rc = main(["sample", "--model", "rician-shadowed", *common, "--m", "3", "--out", str(tmp_path / "x.txt")])
+    assert rc == 2 and "--m is pinned by --model rician-shadowed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model, flag", [("rice", "--Delta"), ("twdp", "--m1"), ("rician-shadowed", "--m2"),
+                                         ("iftr", "--m"), ("ftr", "--m1")])
+def test_sample_pinned_flag_is_a_validation_exit(tmp_path, capsys, model, flag):
+    out = tmp_path / "s.txt"
+    rc = main(["sample", "--model", model, "--n", "10", "--K", "3", flag, "2", "--out", str(out)])
+    assert rc == 2 and f"error: {flag} is pinned by --model {model}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_params_json_beside_a_parameter_flag_is_a_validation_exit(tmp_path, capsys):
+    doc = tmp_path / "p.json"
+    doc.write_text(json.dumps({"K": 3, "Delta": 0.5, "m1": 2, "m2": 2, "mean_snr_db": 10}))
+    for argv, flag in ((["eval", "--grid", "1:2:2", "--K", "9"], "--K"),
+                       (["ber", "--db-stop", "2", "--m2", "3"], "--m2"),
+                       (["sample", "--n", "10", "--gamma-bar", "2", "--out", str(tmp_path / "s.txt")], "--gamma-bar")):
+        assert main([*argv, "--params-json", str(doc)]) == 2
+        assert f"{flag} cannot be given with --params-json" in capsys.readouterr().err
+
+
+def test_eval_provenance_lists_the_params_json_values(tmp_path, capsys):
+    doc = tmp_path / "p.json"
+    doc.write_text(json.dumps({"K": 3, "Delta": 0, "m1": 2, "m2": "inf", "mean_snr_db": 10}))
+    rc, out = run(capsys, ["eval", "--grid", "1:2:2", "--params-json", str(doc)])
+    assert rc == 0
+    cfg = json.loads(out.splitlines()[0][2:])["config"]
+    assert (cfg["K"], cfg["Delta"], cfg["m1"], cfg["m2"]) == (3.0, 0.0, 2.0, math.inf)
+
+
+@pytest.mark.parametrize("argv", [["ber", "--preset", "fig5"], ["outage", "--preset", "fig4"],
+                                  ["eval", "--preset", "fig4"], ["ber", "--mod", "qpsk"]])
+def test_unknown_preset_or_modulation_is_a_validation_exit(capsys, argv):
+    assert main(argv) == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["eval", "--preset", "fig1", "--K", "3"], "--K"),
+    (["eval", "--preset", "fig2", "--gamma-bar", "2"], "--gamma-bar"),
+    (["ber", "--preset", "fig4", "--m1", "2"], "--m1"),
+    (["outage", "--preset", "fig5", "--monte-carlo", "100"], "--monte-carlo"),
+    (["outage", "--preset", "fig5", "--params-json", "p.json"], "--params-json"),
+])
+def test_flag_beside_a_preset_is_a_validation_exit(capsys, argv, flag):
+    assert main(argv) == 2
+    assert f"{flag} cannot be given with --preset" in capsys.readouterr().err
+
+
+def test_alpha_beta_with_bpsk_is_a_validation_exit(capsys):
+    assert main(["ber", "--db-stop", "2", "--alpha", "1", "--beta", "2"]) == 2
+    assert "--alpha needs --mod custom" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["ber", "--db-step", "0"], ["outage", "--db-step", "-1"],
+                                  ["outage", "--db-stop", "2", "--Rs", "nan"],
+                                  ["outage", "--db-stop", "2", "--gamma-bar", "10"],
+                                  ["ber", "--db-start", "3000", "--db-stop", "3100"]])
+def test_bad_sweep_or_rate_is_a_validation_exit(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_fit_with_an_empty_m1_grid_is_a_validation_exit(tmp_path, capsys):
+    path = tmp_path / "s.txt"
+    assert main(["sample", "--n", "2000", "--seed", "1", "--K", "3", "--output", "snr", "--out", str(path)]) == 0
+    rc = main(["fit", str(path), "--from-samples", "--model", "iftr-integer-m1", "--m1-min", "5", "--m1-max", "1"])
+    assert rc == 2 and "m1_grid must not be empty" in capsys.readouterr().err
+
+
+BAD_VALUES = ["nan", "inf", "0", "-1", "1e308", ""]
+PARAM_FLAGS = ["--K", "--Delta", "--m1", "--m2", "--gamma-bar", "--gamma-bar-db", "--Omega", "--params-json"]
+
+
+def _flag_cases(tmp_path):
+    """(base argv, flag) for every subcommand, model and flag."""
+    samples = tmp_path / "fit.txt"
+    write_samples(samples, sample_iftr(IftrParams(3.0, 0.0, math.inf, math.inf), SimConfig(2000, 1, "snr")), {})
+    cases = [(["eval", "--grid", "0.5:2:2"], flag) for flag in [*PARAM_FLAGS, "--grid", "--quantity", "--preset"]]
+    sweep = ["--db-start", "--db-stop", "--db-step", "--monte-carlo", "--seed", "--preset"]
+    for name, extra in (("ber", ["--mod", "--alpha", "--beta"]), ("outage", ["--Rs"])):
+        base = [name, "--db-start", "0", "--db-stop", "2", "--db-step", "1"]
+        cases += [(base, flag) for flag in [*PARAM_FLAGS, *sweep, *extra]]
+    for model in SAMPLE_MODELS:
+        base = ["sample", "--model", model, "--n", "20", "--out", str(tmp_path / "s.txt")]
+        cases += [(base, flag) for flag in [*PARAM_FLAGS, "--m", "--n", "--seed", "--output"]]
+    base = ["fit", str(samples), "--from-samples", "--model", "rice", "--restarts", "1", "--quantiles", "8"]
+    cases += [(base, flag) for flag in ["--quantiles", "--restarts", "--seed", "--m1-min", "--m1-max", "--model"]]
+    return cases
+
+
+def test_every_flag_value_exits_with_a_documented_code_and_no_traceback(tmp_path, capsys):
+    failures = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for base, flag in _flag_cases(tmp_path):
+            for value in BAD_VALUES:
+                argv = [*base, flag, value]
+                try:
+                    rc = main(argv)
+                except Exception as exc:  # an uncaught exception is a traceback
+                    rc = f"{type(exc).__name__}: {exc}"
+                err = capsys.readouterr().err
+                if rc not in (0, 1, 2, 3) or "Traceback" in err:
+                    failures.append((argv, rc))
+    assert failures == []
 
 
 def test_cli_import_leaves_optimizer_and_integrator_unloaded():

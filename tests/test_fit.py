@@ -230,6 +230,17 @@ def test_fit_config_validation():
         FitConfig(m1_grid=(1, 2.5))
 
 
+def test_fit_config_rejects_an_empty_m1_grid():
+    with pytest.raises(ValidationError, match="empty"):
+        FitConfig(model_family="iftr-integer-m1", m1_grid=())
+
+
+@pytest.mark.parametrize("samples, n_points", [(np.ones(100), 0), (np.ones(100), 7), (np.array([]), 40)])
+def test_empirical_cdf_from_samples_rejects_too_few_points(samples, n_points):
+    with pytest.raises(ValidationError, match="n_points"):
+        empirical_cdf_from_samples(samples, n_points=n_points)
+
+
 def test_fit_result_json_shape():
     emp = make_emp(16)
     res = fit(emp, FitConfig(model_family="rice", seed=0, restarts=1, max_evaluations=200))

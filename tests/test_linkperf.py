@@ -198,6 +198,15 @@ def test_outage_rejects_negative_threshold():
         outage_asymptotic(p, -0.5)
 
 
+@pytest.mark.parametrize("rate", [math.nan, math.inf, 1024.0, 1e308])
+def test_outage_rejects_nan_and_overflowing_thresholds(rate):
+    p = IftrParams(k=1, delta=0, m1=1, m2=1)
+    with pytest.raises(ValidationError, match="rate threshold"):
+        outage(p, rate)
+    with pytest.raises(ValidationError, match="rate threshold"):
+        outage_asymptotic(p, rate)
+
+
 def test_ber_result_fields():
     res = BerResult(value=0.1, method="asymptotic", est_error=math.nan)
     assert res.value == 0.1 and res.method == "asymptotic"

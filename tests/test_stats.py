@@ -190,6 +190,18 @@ def test_pdf_cdf_exponential_limit():
     assert cdf(p, 0.0) == 0.0
 
 
+def test_nan_abscissa_is_rejected():
+    for fn in (pdf, cdf):
+        with pytest.raises(ValueError, match="abscissae must be >= 0 and not NaN"):
+            fn(IftrParams(3, 0.5, 2, 2), [1.0, math.nan])
+
+
+def test_huge_k_warns_instead_of_overflowing_the_node_demand():
+    with pytest.warns(ApproximationWarning):
+        values = cdf(IftrParams(1e308, 0.0, math.inf, math.inf), [0.5, 2.0])
+    assert values.shape == (2,)
+
+
 def test_pdf_at_zero_warns_and_extrapolates():
     p = IftrParams(k=0.0, delta=0.0, m1=1, m2=1, mean_snr=1.0)
     with pytest.warns(ApproximationWarning):
