@@ -189,10 +189,13 @@ def _curve(quantity: str, p: IftrParams, x, cfg: LaplaceInversionConfig | None =
 def cmd_eval(args) -> int:
     p, used = _params_from_args(args)
     if not args.preset:
-        grid, spacing = _parse_grid(args.grid)
+        used["quantity"] = quantity = "cdf-snr" if args.quantity is None else args.quantity
+        used["grid"] = "0.1:10:100" if args.grid is None else args.grid
+        grid, spacing = _parse_grid(used["grid"])
         if spacing == "db":
-            grid = 10.0 ** (grid / (20.0 if args.quantity.endswith("envelope") else 10.0))
-        return _write_csv(args, used, "eval", "x", grid, {"value": _curve(args.quantity, p, grid)})
+            grid = 10.0 ** (grid / (20.0 if quantity.endswith("envelope") else 10.0))
+        return _write_csv(args, used, "eval", "x", grid, {"value": _curve(quantity, p, grid)})
+    _reject(args, "cannot be given with --preset", "quantity", "grid")
     grid, quantity, curves = EVAL_PRESETS[args.preset]
     cfg = LaplaceInversionConfig()
     cols = {}
@@ -227,6 +230,8 @@ def _sweep_db(args) -> np.ndarray:
     _reject(args, "cannot be given with a sweep, which sets the mean SNR", *_SCALES)
     if args.preset and args.monte_carlo:
         raise ValidationError("--monte-carlo cannot be given with --preset")
+    if not args.monte_carlo:
+        _reject(args, "needs --monte-carlo", "seed")
     if not args.db_step > 0.0:
         raise ValidationError(f"need db-step > 0, got {args.db_step}")
     if not 0.0 < (args.db_stop - args.db_start) / args.db_step <= 1e6:
@@ -249,6 +254,7 @@ def cmd_ber(args) -> int:
         gbar = 10.0 ** (db / 10.0)
         curves = [(f"_m1_{m1}", IftrParams(k=15, delta=0.5, m1=m1, m2=2)) for m1 in FIG4_M1]
     else:
+        used["seed"] = 0 if args.seed is None else args.seed
         gbar = [10.0 ** (d / 10.0) for d in db]
         curves = [("", unit)]
     cols = {}
@@ -258,7 +264,7 @@ def cmd_ber(args) -> int:
         cols["exact" + suffix] = [route(p.with_mean_snr(g), mod).value for g in gbar]
         cols["asymptotic" + suffix] = [asym / g for g in gbar]
     if args.monte_carlo:
-        snr = sample_iftr(unit, SimConfig(n_samples=args.monte_carlo, seed=args.seed, output="snr"))
+        snr = sample_iftr(unit, SimConfig(n_samples=args.monte_carlo, seed=used["seed"], output="snr"))
         cols["monte_carlo"] = [mod.cep(snr * g).mean() for g in gbar]
     return _write_csv(args, used, "ber", "gamma_bar_db", db, cols)
 
@@ -272,6 +278,7 @@ def cmd_outage(args) -> int:
         for name, kw in FIG5_CURVES:
             cols[name] = [outage(IftrParams(mean_snr=g, **kw), args.Rs) for g in 10.0 ** (db / 10.0)]
         return _write_csv(args, used, "outage", "gamma_bar_db", db, cols)
+    used["seed"] = 0 if args.seed is None else args.seed
     gbar = [10.0 ** (d / 10.0) for d in db]
     asym = outage_asymptotic(unit, args.Rs)
     cols = {
@@ -279,7 +286,7 @@ def cmd_outage(args) -> int:
         "asymptotic": [asym / g for g in gbar],
     }
     if args.monte_carlo:
-        snr = sample_iftr(unit, SimConfig(n_samples=args.monte_carlo, seed=args.seed, output="snr"))
+        snr = sample_iftr(unit, SimConfig(n_samples=args.monte_carlo, seed=used["seed"], output="snr"))
         cols["monte_carlo"] = [np.mean(snr * g < 2.0 ** args.Rs - 1.0) for g in gbar]
     return _write_csv(args, used, "outage", "gamma_bar_db", db, cols)
 
@@ -328,9 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("eval", help="evaluate a distribution curve to CSV")
     _add_param_flags(sp)
-    sp.add_argument("--quantity", default="cdf-snr", choices=EVAL_QUANTITIES)
-    sp.add_argument("--grid", default="0.1:10:100",
-                    help="start:stop:count[:linear|log|db]; use --grid=-10:5:40:db for negative starts")
+    sp.add_argument("--quantity", default=None, choices=EVAL_QUANTITIES, help="(default cdf-snr)")
+    sp.add_argument("--grid", default=None,
+                    help="start:stop:count[:linear|log|db] (default 0.1:10:100); "
+                         "use --grid=-10:5:40:db for negative starts")
     sp.add_argument("--preset", default=None, choices=tuple(EVAL_PRESETS), help="reference curve sets")
     sp.add_argument("--out", default=None, help="output CSV path (default stdout)")
     sp.set_defaults(func=cmd_eval)
@@ -352,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--db-stop", type=float, default=50.0)
         sp.add_argument("--db-step", type=float, default=1.0)
         sp.add_argument("--monte-carlo", type=int, default=0, help="add a Monte Carlo column with this many samples per point")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=int, default=None, help="Monte Carlo seed (default 0)")
         sp.add_argument("--preset", default=None, choices=(extra,), help="reference sweep")
         sp.add_argument("--out", default=None)
         if name == "ber":

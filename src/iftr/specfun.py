@@ -70,6 +70,18 @@ def _series_2f1_ln(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
     a term costs only its ratio, product and sum; from then on the checks
     run on every term.  The skipped checks would have found nothing, so
     the results are bit-identical to checking every term.
+
+    A call with one entry whose imaginary part is 0.0 (the CDF slope's
+    2F1, and any scalar real ``hyp2f1_ln`` on any route) is summed by
+    ``_real_series_2f1_ln`` in Python floats, which checks every term
+    because a check costs no more than the term.  Numpy's per-term
+    dispatch on one-element arrays is most of the cost it saves.  Only
+    real arguments qualify: with zero imaginary parts numpy's complex
+    products and sums round exactly as float ones do, and a complex
+    number divided by a real one is a product with the reciprocal, so the
+    float loop rescales its sum and term by ``* (1.0 / _RESCALE_LIMIT)``;
+    ``/ _RESCALE_LIMIT`` rounds differently on rare sums.  The two loops
+    agree bit for bit, error messages included.
     """
     out = np.empty(z.shape, dtype=complex)
     if not z.size:
@@ -84,6 +96,9 @@ def _series_2f1_ln(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
                 f"2F1 series needs ~{needed:.3g} terms for |z|={r_hi:.6g} "
                 f"(budget {_MAX_SERIES_TERMS}; a={a}, b={b}, c={c})"
             )
+    if z.size == 1 and z.imag[0] == 0.0:
+        out[0] = _real_series_2f1_ln(a, b, c, float(z.real[0]))
+        return out
     idx = np.arange(z.size)
     s = np.ones(z.shape, dtype=complex)
     term = np.ones(z.shape, dtype=complex)
@@ -143,6 +158,35 @@ def _series_2f1_ln(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
     raise ConvergenceError(
         f"2F1 series did not converge within {_MAX_SERIES_TERMS} terms "
         f"(a={a}, b={b}, c={c}, worst |z|={np.abs(z[is_open]).max():.6g})"
+    )
+
+
+def _real_series_2f1_ln(a: float, b: float, c: float, x: float) -> complex:
+    """``_series_2f1_ln`` for one real argument, summed in Python floats.
+
+    The same recurrence (in the same operand order), settle rule, rescale
+    and term budget as the vector loop, checked on every term; see
+    ``_series_2f1_ln`` for why the result is bit-identical.
+    """
+    s = term = 1.0
+    log_scale = 0.0
+    prev_small = False
+    for n in range(_MAX_SERIES_TERMS):
+        coef = (a + n) * (b + n) / ((c + n) * (n + 1.0))
+        ratio = x * coef
+        term = term * ratio
+        s += term
+        small = abs(term) <= 1e-17 * abs(s)
+        if small and prev_small:
+            return np.log(np.complex128(s)) + log_scale
+        prev_small = small
+        if abs(s) > _RESCALE_LIMIT or abs(term) > _RESCALE_LIMIT:
+            s = s * (1.0 / _RESCALE_LIMIT)
+            term = term * (1.0 / _RESCALE_LIMIT)
+            log_scale += _RESCALE_LOG
+    raise ConvergenceError(
+        f"2F1 series did not converge within {_MAX_SERIES_TERMS} terms "
+        f"(a={a}, b={b}, c={c}, worst |z|={abs(x):.6g})"
     )
 
 

@@ -203,6 +203,7 @@ def test_one_frozen_ray_with_delta_is_a_validation_exit(capsys):
 def test_fig3_preset_curves_ordered(capsys):
     rc, out = run(capsys, ["eval", "--preset", "fig3"])
     assert rc == 0
+    assert not {"grid", "quantity"} & json.loads(out.splitlines()[0][2:])["config"].keys()
     header, rows = parse_csv(out)
     assert header[0] == "x" and len(header) == 5
     # Deep-fade probability is higher for similar rays (Delta = 0.9) than
@@ -217,6 +218,7 @@ def test_fig5_preset_smoke(capsys):
     rc, out = run(capsys, ["outage", "--preset", "fig5", "--db-start", "10",
                            "--db-stop", "14", "--db-step", "2"])
     assert rc == 0
+    assert "seed" not in json.loads(out.splitlines()[0][2:])["config"]
     header, rows = parse_csv(out)
     assert rows.shape == (3, 5)
     d01 = header.index("K10_d0.1_m1_2_m2_8")
@@ -351,10 +353,19 @@ def test_unknown_preset_or_modulation_is_a_validation_exit(capsys, argv):
     (["ber", "--preset", "fig4", "--m1", "2"], "--m1"),
     (["outage", "--preset", "fig5", "--monte-carlo", "100"], "--monte-carlo"),
     (["outage", "--preset", "fig5", "--params-json", "p.json"], "--params-json"),
+    (["eval", "--preset", "fig3", "--quantity", "pdf-snr"], "--quantity"),
+    (["eval", "--preset", "fig3", "--grid", "1:2:3"], "--grid"),
 ])
 def test_flag_beside_a_preset_is_a_validation_exit(capsys, argv, flag):
     assert main(argv) == 2
     assert f"{flag} cannot be given with --preset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["outage", "--seed", "5"], ["ber", "--db-stop", "2", "--seed", "0"],
+                                  ["ber", "--preset", "fig4", "--seed", "5"]])
+def test_seed_without_monte_carlo_is_a_validation_exit(capsys, argv):
+    assert main(argv) == 2
+    assert "--seed needs --monte-carlo" in capsys.readouterr().err
 
 
 def test_alpha_beta_with_bpsk_is_a_validation_exit(capsys):

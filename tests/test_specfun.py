@@ -15,6 +15,7 @@ import iftr.laplace
 import iftr.linkperf
 import iftr.sim
 import iftr.specfun
+import iftr.stats
 from iftr.params import IftrParams
 from iftr.specfun import (
     ConvergenceError,
@@ -272,6 +273,59 @@ def test_2f1_check_gate_is_exact():
         assert np.array_equal(got, ungated_series_2f1_ln(a, b, c, z)), (a, b, c, z.size)
 
 
+def real_kernel_cases(rng):
+    """Seeded (a, b, c, x) on every route a lone real argument can take."""
+    def shapes(hi=40.0):
+        return rng.uniform(0.05, hi), rng.uniform(0.05, hi), rng.uniform(0.5, 9.0)
+    for _ in range(40):
+        yield *shapes(), rng.uniform(0.0, 0.9)  # direct
+        yield *shapes(), rng.uniform(-3.0, 0.0)  # Pfaff with real w
+        a, b, c = shapes()
+        yield a + c, b, c, rng.uniform(0.9, 0.95)  # Euler: a + b - c > 0
+        yield *shapes(), 1.0 - rng.uniform(1e-4, 0.05)  # the connection series
+        yield -float(rng.integers(0, 60)), rng.uniform(0.05, 40.0), 1.0, rng.uniform(-0.9, 0.9)
+        yield 237.0 + rng.uniform(0.0, 180.0), 240.0, 1.0, rng.uniform(0.3, 0.5)  # rescaled
+    yield 400.0, 400.0, 1.0, 0.5  # the sum passes the largest double
+    yield 1e-20, 500.0, 1.0, 0.5  # a first term below 1e-17, then growing ones
+    # Rescaling by dividing by the limit, not multiplying by its reciprocal,
+    # rounds this sum differently.
+    yield 360.81571759138876, 449.40082216358076, 1.0, 0.5810647966921081
+
+
+def test_2f1_real_scalar_kernel_is_bit_identical():
+    # A lone real argument is summed in Python floats; it must equal the
+    # same argument summed by the vector loop, here twice in one call.
+    rng = np.random.default_rng(2024)
+    for a, b, c, x in real_kernel_cases(rng):
+        pair = np.array([x, x], dtype=complex)
+        if abs(x) <= 0.9:  # where the ascending series is summed directly
+            got = iftr.specfun._series_2f1_ln(a, b, c, pair[:1])
+            assert np.array_equal(got, iftr.specfun._series_2f1_ln(a, b, c, pair)[:1]), (a, b, c, x)
+        assert np.array_equal(hyp2f1_ln(a, b, c, x), hyp2f1_ln(a, b, c, pair)[0]), (a, b, c, x)
+    assert hyp2f1_ln(400.0, 400.0, 1.0, 0.5).real > math.log(np.finfo(float).max)
+
+
+def test_cdf_slope_real_kernel_is_bit_identical(monkeypatch):
+    rng = np.random.default_rng(1977)
+    params = [
+        IftrParams(
+            k=10 ** rng.uniform(-3.0, 3.0),
+            delta=rng.uniform(0.0, 1.0),
+            m1=10 ** rng.uniform(math.log10(0.05), 3.0),
+            m2=10 ** rng.uniform(math.log10(0.05), 3.0),
+            mean_snr=10 ** rng.uniform(-2.0, 4.0),
+        )
+        for _ in range(1000)
+    ]
+    got = [iftr.stats.cdf_asymptotic_slope(p) for p in params]
+
+    def vector_loop(a, b, c, z, one_minus_z):
+        return hyp2f1_ln(a, b, c, np.array([z, z]), one_minus_z=np.array([one_minus_z] * 2))[0]
+
+    monkeypatch.setattr(iftr.stats, "hyp2f1_ln", vector_loop)
+    assert got == [iftr.stats.cdf_asymptotic_slope(p) for p in params]
+
+
 def test_2f1_empty_array():
     for a in (2.3, -2.0):  # series routes, and the terminating series
         out = hyp2f1_ln(a, 1.5, 1.0, np.empty(0))
@@ -285,6 +339,8 @@ def test_2f1_term_budget(monkeypatch):
     monkeypatch.setattr(iftr.specfun, "_MAX_SERIES_TERMS", 100)
     with pytest.raises(ConvergenceError, match="did not converge within 100 terms"):
         hyp2f1_ln(-150.0, 1.0, 1.0, np.array([0.5, 1e-3]))
+    with pytest.raises(ConvergenceError, match="did not converge within 100 terms"):
+        hyp2f1_ln(-150.0, 1.0, 1.0, 0.5)  # the float kernel
     assert np.isfinite(hyp2f1_ln(-50.0, 1.0, 1.0, 0.5))
 
 

@@ -9,6 +9,7 @@ from scipy.special import i0
 from iftr.laplace import LaplaceInversionConfig
 from iftr.linkperf import ber_exact, ber_mgf_quadrature
 from iftr.params import IftrParams, ModulationSpec, ValidationError, family_params
+from iftr.specfun import ConvergenceError
 from iftr.stats import (
     ApproximationWarning,
     DistributionDomain,
@@ -322,6 +323,26 @@ def test_slope_frozen_limit():
         p = IftrParams(k=k, delta=delta, m1=math.inf, m2=math.inf, mean_snr=gbar)
         want = (1.0 + k) / gbar * math.exp(-k) * i0(k * delta)
         assert cdf_asymptotic_slope(p) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("k, delta, m1, m2", [(1e4, 1.0, 0.5, 0.5), (1e4, 0.9, 300.0, 250.0)])
+def test_slope_at_large_shapes_against_mpmath(k, delta, m1, m2):
+    # (1 + K) prod_i (1 + p_i/m_i)^(-m_i) 2F1(m1, m2; 1; z) at mean SNR 1;
+    # the first case sums about 200,000 series terms at z = 1 - 2e-4.
+    mpmath = pytest.importorskip("mpmath")
+    p = IftrParams(k=k, delta=delta, m1=m1, m2=m2)
+    with mpmath.workdps(40):
+        p1, p2 = (mpmath.mpf(v) for v in p.ray_power_ratios())
+        f1, f2 = m1 + p1, m2 + p2
+        want = (1 + mpmath.mpf(k)) * (m1 / f1) ** m1 * (m2 / f2) ** m2 * mpmath.hyp2f1(m1, m2, 1, p1 * p2 / (f1 * f2))
+        assert abs(cdf_asymptotic_slope(p) - want) <= 1e-12 * want
+
+
+def test_slope_near_the_log_case_fails_loudly():
+    # m1 + m2 = 1 and z = 1 - 2e-6: the ascending series would need ~2e7
+    # terms, and the connection at z = 1 skips the log case c - a - b = 0.
+    with pytest.raises(ConvergenceError):
+        cdf_asymptotic_slope(IftrParams(k=1e6, delta=1.0, m1=0.5, m2=0.5))
 
 
 def test_slope_against_cdf_oracle():
