@@ -237,12 +237,16 @@ def hyp2f1_ln(a, b, c, z, one_minus_z=None):
     a = float(a)
     b = float(b)
     c = float(c)
+    z_arr = np.asarray(z, dtype=complex)
+    # The series' fail-fast test compares NaN as False and would run the
+    # whole term budget before giving up.
+    if math.isnan(a) or math.isnan(b) or math.isnan(c) or np.isnan(z_arr).any():
+        raise ValueError(f"2F1 arguments must not be NaN (a={a}, b={b}, c={c}, or in z)")
     if _is_nonpositive_int(c) and not (
         (_is_nonpositive_int(a) and round(a) > round(c))
         or (_is_nonpositive_int(b) and round(b) > round(c))
     ):
         raise ValueError(f"c={c} is a non-positive integer pole of 2F1")
-    z_arr = np.asarray(z, dtype=complex)
     flat = z_arr.ravel()
     omz = (
         (1.0 - flat)

@@ -2,6 +2,7 @@ import importlib
 import importlib.util
 import math
 import pathlib
+import time
 import warnings
 from fractions import Fraction
 
@@ -176,6 +177,26 @@ def test_2f1_rejects_cut_and_pole():
         hyp2f1_ln(1.0, 2.0, 3.0, 1.0)
     with pytest.raises(ValueError):
         hyp2f1_ln(1.0, 2.0, 0.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "a, b, c, z",
+    [
+        (1.5, 1.0, 1.0, complex(math.nan, 0.5)),
+        (1.5, 1.0, 1.0, math.nan),
+        (1.5, 1.0, 1.0, np.array([0.25, math.nan])),
+        (math.nan, 1.0, 1.0, 0.5),
+        (1.5, math.nan, 1.0, 0.5j),
+        (1.5, 1.0, math.nan, -0.5),
+    ],
+)
+def test_2f1_rejects_nan_at_once(a, b, c, z):
+    # A NaN used to run the series to its 500,000-term budget (9 s) before
+    # raising ConvergenceError.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="NaN"):
+        hyp2f1_ln(a, b, c, z)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_2f1_divergence_flag():
