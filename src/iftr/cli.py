@@ -292,29 +292,27 @@ def cmd_outage(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    """Fit one family; --compare reports every row of the one iftr fit."""
+    if args.compare:
+        _reject(args, "cannot be given with --compare, which fits iftr and reports its rows", "model")
+    model = args.model or "iftr"
+    if model != "iftr-integer-m1":
+        _reject(args, "needs --model iftr-integer-m1", "m1_min", "m1_max")
+    m1_grid = tuple(range(1 if args.m1_min is None else args.m1_min, (60 if args.m1_max is None else args.m1_max) + 1))
+    cfg = FitConfig(model_family=model, fit_scale=args.fit_scale, restarts=args.restarts, seed=args.seed, m1_grid=m1_grid)
     domain = DistributionDomain(args.domain)
     if args.from_samples:
         values, _ = read_samples(args.input)
-        emp = empirical_cdf_from_samples(values, domain=domain, n_points=args.quantiles)
+        emp = empirical_cdf_from_samples(values, domain=domain, n_points=40 if args.quantiles is None else args.quantiles)
     else:
+        _reject(args, "needs --from-samples", "quantiles")
         emp = load_empirical_cdf(args.input, domain=domain)
-    families = tuple(FAMILIES) if args.compare else (args.model,)
-    results = {}
-    for family in families:
-        cfg = FitConfig(
-            model_family=family,
-            fit_scale=args.fit_scale,
-            restarts=args.restarts,
-            seed=args.seed,
-            m1_grid=tuple(range(args.m1_min, args.m1_max + 1)),
-        )
-        results[family] = fit(emp, cfg)
-    if args.compare:
-        comparison = {fam: json.loads(fit_result_to_json(r, args.restarts)) for fam, r in results.items()}
-        text = json.dumps({"comparison": comparison}, sort_keys=True)
-    else:
-        text = fit_result_to_json(results[args.model], args.restarts)
-    return _write(args, text + "\n")
+    result = fit(emp, cfg)
+    if not args.compare:
+        return _write(args, fit_result_to_json(result, args.restarts) + "\n")
+    rows = {**result.nested, model: result}
+    comparison = {family: json.loads(fit_result_to_json(r, args.restarts)) for family, r in rows.items()}
+    return _write(args, json.dumps({"comparison": comparison}, sort_keys=True) + "\n")
 
 
 def _add_param_flags(sp):
@@ -374,15 +372,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("fit", help="fit model families to an empirical CDF")
     sp.add_argument("input", help="CSV empirical CDF (x,cdf | x_db,cdf) or sample dump with --from-samples")
     sp.add_argument("--from-samples", action="store_true", help="input is a sample dump; build the CDF from quantiles")
-    sp.add_argument("--quantiles", type=int, default=40)
+    sp.add_argument("--quantiles", type=int, default=None, help="quantile-grid points, with --from-samples (default 40)")
     sp.add_argument("--domain", default="snr", choices=("snr", "envelope"))
-    sp.add_argument("--model", default="iftr", choices=MODEL_FAMILIES)
-    sp.add_argument("--compare", action="store_true", help="fit all families and emit a comparison document")
+    sp.add_argument("--model", default=None, choices=MODEL_FAMILIES, help="(default iftr)")
+    sp.add_argument("--compare", action="store_true", help="fit iftr and emit a comparison document of its rows")
     sp.add_argument("--fit-scale", action="store_true", help="also fit the scale (non-normalized data)")
     sp.add_argument("--restarts", type=int, default=4)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--m1-min", type=int, default=1)
-    sp.add_argument("--m1-max", type=int, default=60)
+    sp.add_argument("--m1-min", type=int, default=None, help="m1 grid, with --model iftr-integer-m1 (default 1)")
+    sp.add_argument("--m1-max", type=int, default=None, help="(default 60)")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_fit)
     return ap

@@ -12,17 +12,20 @@ grid on m1 for the integer-constrained family.
 
 The family table ``params.FAMILIES`` names the fields each family frees;
 ``params.family_params`` pins the rest (frozen fluctuations at
-``math.inf``), so the full family provably dominates its special cases.
-Fits of the full families therefore also run the nested fits and include
-their optima as candidates.
+``math.inf``), so a family contains each row whose free fields it frees.
+A fit runs all of those rows on one path and offers their optima as
+candidates, and every row draws its random starts from its own fixed place
+in the seed's stream, so one iftr fit yields a whole comparison table that
+obeys nesting exactly.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -111,8 +114,10 @@ class FitConfig:
             raise ValidationError(
                 f"model_family must be one of {MODEL_FAMILIES}, got {self.model_family!r}"
             )
-        if self.restarts < 1:
-            raise ValidationError("restarts must be >= 1")
+        for name in ("restarts", "max_evaluations"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
         if not self.m1_grid:
             raise ValidationError("m1_grid must not be empty")
         if not all(int(m) == m and m >= 1 for m in self.m1_grid):
@@ -121,12 +126,14 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted parameters, achieved epsilon, and optimizer diagnostics."""
+    """Fitted parameters, achieved epsilon, optimizer diagnostics, and the
+    nested rows' results by family."""
 
     params: IftrParams
     epsilon: float
     model_family: str
     diagnostics: dict
+    nested: dict = field(default_factory=dict)
 
 
 def modified_ks(emp: EmpiricalCdf, model_cdf) -> float:
@@ -187,17 +194,14 @@ def _objective(evaluator: _CdfEvaluator, emp: EmpiricalCdf, make_params):
     return fun
 
 
-def _multistart(emp, evaluator, family, fixed, n_random, cfg: FitConfig, rng):
+def _multistart(emp, evaluator, family, fixed, block, cfg: FitConfig) -> FitResult:
     """Nelder-Mead over the free fields of ``family`` not in ``fixed`` from
-    the box centre, then from ``n_random`` uniform starts.
-
-    Returns (best params, best epsilon, coordinate names, one trace entry
-    per start).
-    """
+    the box centre, then from each row of ``block``, uniforms in [0, 1)
+    mapped onto the box.  The diagnostics name the coordinates and trace
+    every start."""
     from scipy.optimize import minimize  # deferred: only fits need the optimizer
 
     fields = [f for f in FAMILIES[family] if f not in fixed] + ["mean_snr"] * cfg.fit_scale
-    names = [_SEARCH_BOX[f][0] for f in fields]
     boxes = np.array([_SEARCH_BOX[f][1:] for f in fields])
 
     def make(theta):
@@ -207,77 +211,74 @@ def _multistart(emp, evaluator, family, fixed, n_random, cfg: FitConfig, rng):
 
     fun = _objective(evaluator, emp, make)
     starts = [0.5 * (boxes[:, 0] + boxes[:, 1])]
-    for _ in range(n_random):
-        starts.append(boxes[:, 0] + (boxes[:, 1] - boxes[:, 0]) * rng.random(len(boxes)))
+    starts += [boxes[:, 0] + (boxes[:, 1] - boxes[:, 0]) * u for u in block]
+    options = {"maxfev": cfg.max_evaluations, "xatol": 1e-4, "fatol": _FATOL}
     trace = []
     best_theta, best_eps = None, math.inf
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for theta0 in starts:
-            res = minimize(
-                fun,
-                theta0,
-                method="Nelder-Mead",
-                bounds=boxes,
-                options={
-                    "maxfev": cfg.max_evaluations,
-                    "xatol": 1e-4,
-                    "fatol": _FATOL,
-                },
-            )
+            res = minimize(fun, theta0, method="Nelder-Mead", bounds=boxes, options=options)
             trace.append({"start": list(map(float, theta0)), "epsilon": float(res.fun)})
             if res.fun < best_eps:
                 best_eps, best_theta = float(res.fun), res.x
-    return make(best_theta), best_eps, names, trace
+    names = [_SEARCH_BOX[f][0] for f in fields]
+    return FitResult(make(best_theta), best_eps, family, {"parameters": names, "restarts": trace, "n_evals": evaluator.n_evals})
+
+
+def _best(own: FitResult, nested: dict) -> FitResult:
+    """``own``, or the optimum of the best ``nested`` row if one beats it
+    strictly (the first, on ties); diagnostics record the nested epsilons
+    and the row the optimum came from."""
+    best = min([own, *nested.values()], key=lambda r: r.epsilon)
+    diagnostics = dict(own.diagnostics)
+    if nested:
+        diagnostics["nested"] = {family: r.epsilon for family, r in nested.items()}
+    if best is not own:
+        diagnostics["embedded_from"] = best.model_family
+    return FitResult(best.params, best.epsilon, own.model_family, diagnostics, nested)
 
 
 def fit(emp: EmpiricalCdf, cfg: FitConfig) -> FitResult:
     """Minimize the log-domain KS statistic over the selected family.
 
-    Deterministic for a fixed (seed, config).  The full families also fit
-    their nested special cases -- the ``FAMILIES`` rows whose free fields
-    are a proper subset of theirs -- and keep whichever candidate wins, so
-    ``epsilon(iftr) <= epsilon(nested family)`` holds by construction.
-    ``iftr-integer-m1`` is ``iftr`` with m1 pinned to each grid value in
-    turn, so it embeds only the families that keep m1 frozen.
+    Deterministic for a fixed (seed, config).  The fit runs, once each and
+    in ``FAMILIES`` order, every row whose free fields its family contains,
+    and each row keeps the best of its own run and its sub-rows' results
+    (ties keep its own), so no row's epsilon exceeds a special case's.  Row
+    g's random starts are the g-th block of ``default_rng(seed)``:
+    (restarts - 1) x (free fields + fit_scale) uniforms, drawn in table
+    order whether or not the row runs, so a standalone fit equals its row
+    inside every larger fit.  ``iftr-integer-m1`` runs rice and twdp, then
+    ``iftr`` with m1 pinned to each grid value, drawing on from there.
     """
     evaluator = _CdfEvaluator(emp, DEFAULT_CONFIG)
     rng = np.random.default_rng(cfg.seed)
     clamps_before = dict(clamp_counts)
-
-    def run(family, fixed=None, n_random=cfg.restarts - 1):
-        params, eps, names, trace = _multistart(emp, evaluator, family, fixed or {}, n_random, cfg, rng)
-        return FitResult(params, eps, family, {"parameters": names, "restarts": trace, "n_evals": evaluator.n_evals})
-
-    if cfg.model_family in FAMILIES and cfg.model_family != "iftr":
-        result = run(cfg.model_family)
+    integer = cfg.model_family == "iftr-integer-m1"
+    free = set(FAMILIES["iftr"]) - {"m1"} if integer else set(FAMILIES[cfg.model_family])
+    table = list(FAMILIES.items())
+    last = max(i for i, (_, fields) in enumerate(table) if set(fields) <= free)
+    rows = {}
+    for family, fields in table[: last + 1]:
+        block = rng.random((cfg.restarts - 1, len(fields) + cfg.fit_scale))
+        if set(fields) <= free:
+            own = _multistart(emp, evaluator, family, {}, block, cfg)
+            rows[family] = _best(own, {f: r for f, r in rows.items() if set(FAMILIES[f]) < set(fields)})
+    if integer:
+        chosen, per_m1 = None, []
+        for m1 in cfg.m1_grid:
+            block = rng.random((max(1, cfg.restarts // 2), len(free) + cfg.fit_scale))
+            res = _multistart(emp, evaluator, "iftr", {"m1": m1}, block, cfg)
+            per_m1.append({"m1": m1, "epsilon": res.epsilon})
+            # Deterministic tie-break: strictly better epsilon wins; the
+            # grid ascends, so ties keep the lowest m1.
+            if chosen is None or res.epsilon < chosen.epsilon - 1e-15:
+                chosen = res
+        own = FitResult(chosen.params, chosen.epsilon, cfg.model_family, {"per_m1": per_m1, "n_evals": evaluator.n_evals})
+        result = _best(own, rows)
     else:
-        integer = cfg.model_family == "iftr-integer-m1"
-        own_free = tuple(f for f in FAMILIES["iftr"] if not (integer and f == "m1"))
-        nested = [run(fam) for fam, free in FAMILIES.items() if set(free) < set(own_free)]
-        if integer:
-            chosen, per_m1 = None, []
-            for m1 in cfg.m1_grid:
-                res = run("iftr", {"m1": m1}, max(1, cfg.restarts // 2))
-                per_m1.append({"m1": m1, "epsilon": res.epsilon})
-                # Deterministic tie-break: strictly better epsilon wins; the
-                # grid ascends, so ties keep the lowest m1.
-                if chosen is None or res.epsilon < chosen[1] - 1e-15:
-                    chosen = (res.params, res.epsilon)
-            own = FitResult(*chosen, cfg.model_family, {"per_m1": per_m1, "n_evals": evaluator.n_evals})
-        else:
-            own = run("iftr")
-        best = min([own] + nested, key=lambda r: r.epsilon)
-        diagnostics = dict(own.diagnostics)
-        diagnostics["nested"] = {r.model_family: r.epsilon for r in nested}
-        if best is not own:
-            diagnostics["embedded_from"] = best.model_family
-        result = FitResult(
-            params=best.params,
-            epsilon=best.epsilon,
-            model_family=cfg.model_family,
-            diagnostics=diagnostics,
-        )
+        result = rows[cfg.model_family]
     result.diagnostics["clamp_counts"] = {k: clamp_counts[k] - clamps_before[k] for k in clamp_counts}
     return result
 

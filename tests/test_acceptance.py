@@ -409,7 +409,7 @@ def test_criterion_10_fit_recovery():
         if res.epsilon <= eps_true + 0.01:
             successes += 1
         for family, eps in res.diagnostics["nested"].items():
-            assert res.epsilon <= eps + 1e-6, (seed, family)
+            assert res.epsilon <= eps, (seed, family)
         per_seed_max = max(per_seed_max, time.monotonic() - t_seed)
     elapsed = time.monotonic() - t0
     assert successes >= 18

@@ -261,9 +261,52 @@ def test_fit_compare_document(tmp_path, capsys):
     doc = json.loads(out)
     assert set(doc["comparison"]) == {"iftr", "rice", "twdp", "rician-shadowed"}
     eps = {fam: r["epsilon"] for fam, r in doc["comparison"].items()}
-    assert all(eps["iftr"] <= e + 1e-6 for e in eps.values())
+    # Every row is at least as good as each of its special cases, exactly.
+    assert all(eps["iftr"] <= e for e in eps.values())
+    assert eps["twdp"] <= eps["rice"] and eps["rician-shadowed"] <= eps["rice"]
     for r in doc["comparison"].values():
         assert set(r["params"]) == {"K", "Delta", "m1", "m2", "Omega"}
+
+
+def test_fit_compare_reports_the_rows_of_one_iftr_fit(tmp_path, capsys, monkeypatch):
+    values = sample_iftr(IftrParams(k=5.0, delta=0.6, m1=2, m2=4, mean_snr=1.0), SimConfig(8000, 4, "snr"))
+    path = tmp_path / "s.txt"
+    write_samples(path, values, {})
+    calls, real_fit = [], iftr.cli.fit
+
+    def counting_fit(emp, cfg):
+        calls.append(cfg.model_family)
+        return real_fit(emp, cfg)
+
+    monkeypatch.setattr(iftr.cli, "fit", counting_fit)
+    argv = ["fit", str(path), "--from-samples", "--restarts", "1", "--quantiles", "12", "--seed", "3"]
+    rc, out = run(capsys, [*argv, "--compare"])
+    assert rc == 0 and calls == ["iftr"]
+    comparison = json.loads(out)["comparison"]
+    rc, out = run(capsys, argv)
+    assert rc == 0 and comparison["iftr"] == json.loads(out)
+    for family in ("rice", "twdp", "rician-shadowed"):
+        rc, out = run(capsys, [*argv, "--model", family])
+        assert rc == 0 and comparison[family] == json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "extra, flag",
+    [
+        (["--compare", "--model", "iftr"], "--model"),
+        (["--model", "rice", "--m1-max", "2"], "--m1-max"),
+        (["--m1-min", "2"], "--m1-min"),
+        (["--compare", "--m1-min", "2"], "--m1-min"),
+        (["--model", "iftr-integer-m1", "--quantiles", "12"], "--quantiles"),
+    ],
+)
+def test_fit_flags_the_run_would_ignore_are_a_validation_exit(tmp_path, capsys, extra, flag):
+    rng = np.random.default_rng(8)
+    s = np.sort(rng.exponential(1.0, size=2000))
+    path = tmp_path / "exp.csv"
+    path.write_text("x,cdf\n" + "".join(f"{s[i]!r},{(i + 1) / 2000!r}\n" for i in range(99, 2000, 100)))
+    assert main(["fit", str(path), "--restarts", "1", *extra]) == 2
+    assert capsys.readouterr().err.startswith("error: " + flag)
 
 
 def test_fit_json_deterministic(tmp_path, capsys):
