@@ -14,10 +14,11 @@ tiny prefactors.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from scipy.special import gammaln, gammasgn, xlogy
+from scipy.special import gammaln, gammasgn, hyp2f1, xlogy
 
 __all__ = [
     "ConvergenceError",
@@ -34,6 +35,8 @@ class ConvergenceError(ArithmeticError):
 
 
 _MAX_SERIES_TERMS = 500_000
+# Settle checks after which a settling entry re-arms the series' settle gate.
+_REARM_AFTER = 8
 _RESCALE_LIMIT = 1e250
 _RESCALE_LOG = math.log(_RESCALE_LIMIT)
 
@@ -56,20 +59,29 @@ def _series_2f1_ln(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
     entries still open.  Each entry sees the same operations whichever
     entries share its call.
 
-    The settle and rescale checks are skipped while two Python-float
-    majorants show they cannot fire (Johansson, "Computing hypergeometric
-    functions rigorously", ACM TOMS 2019, bounds series tails the same
-    way).  With P_n = prod_{k<n} |coef_k| the term magnitudes at |z| = r
-    are r^n P_n, so every entry has |term_n| / |sum_n| >= r^n P_n /
-    sum_{k<=n} r^k P_k, a bound that grows with r.  At r_lo = min |z| it
-    holds for every entry: while it exceeds 1e-15 (100 times the settle
-    threshold, far beyond the rounding of either side) no entry can
-    settle.  At r_hi = max |z| the majorant sum bounds every |term| and
-    |sum|: while it stays below 1e-2 ``_RESCALE_LIMIT`` no entry can need a
-    rescale.  Until either bound fails (or a majorant turns inf or NaN)
-    a term costs only its ratio, product and sum; from then on the checks
-    run on every term.  The skipped checks would have found nothing, so
-    the results are bit-identical to checking every term.
+    The settle and rescale checks are skipped while Python-float majorants
+    show they cannot fire (Johansson, "Computing hypergeometric functions
+    rigorously", ACM TOMS 2019, bounds series tails the same way).  With
+    P_n = prod_{k<n} |coef_k| the term magnitudes at |z| = r are r^n P_n,
+    so every entry has |term_n| / |sum_n| >= r^n P_n / sum_{k<=n} r^k P_k,
+    a bound that grows with r.  At r_lo = min |z| it holds for every
+    entry: while it exceeds 2e-17 (twice the settle threshold, far beyond
+    the rounding of either side, ~1e-10 relative within the term budget)
+    no entry can settle.  At r_hi = max |z| the majorant sum bounds every
+    |term| and |sum|: while it stays below 1e-2 ``_RESCALE_LIMIT`` no entry
+    can need a rescale.  Each gate stays shut until its bound fails (or
+    its majorant turns inf or NaN).  Both restart from the current term,
+    with q_j the coefficient-modulus product since: the settle gate
+    when settled entries leave the arrays, or settle after at least
+    ``_REARM_AFTER`` checks, from r_lo and rho = max |sum| / |term| over
+    the open ones (none can settle while
+    r_lo^j q_j exceeds 2e-17 (rho + sum_{i<=j} r_lo^i q_i)), and the
+    rescale gate after every rescale check that rescaled nothing, from the
+    largest |sum| and |term| (max |sum| + max |term| sum_{i<=j} r_hi^i q_i
+    bounds every later |sum|).  So the long tails of the entries near
+    |z| = 1 mostly pay for the settle check alone.  The skipped checks
+    would have found nothing, so the results are bit-identical to checking
+    every term.
 
     A call with one entry whose imaginary part is 0.0 (the CDF slope's
     2F1, and any scalar real ``hyp2f1_ln`` on any route) is summed by
@@ -107,9 +119,11 @@ def _series_2f1_ln(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
     is_open = np.ones(z.shape, dtype=bool)
     n_open = z.size
     # Majorant term and sum at r_lo and at r_hi (see the docstring); an inf
-    # or NaN majorant fails its comparison and ends the gate.
+    # or NaN majorant fails its comparison and opens its gate.
     t_lo = s_lo = t_hi = s_hi = 1.0
-    gated = True
+    settle_gated = rescale_gated = True
+    skipped = False
+    checked = 0  # settle checks since the settle gate was last re-armed
     for n in range(_MAX_SERIES_TERMS):
         coef = (a + n) * (b + n) / ((c + n) * (n + 1.0))
         # Both products out of place and in this operand order: numpy's
@@ -118,43 +132,70 @@ def _series_2f1_ln(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
         ratio = z * coef
         term = term * ratio
         s += term
-        if gated:
-            t_lo *= r_lo * abs(coef)
-            s_lo += t_lo
+        if rescale_gated:
             t_hi *= r_hi * abs(coef)
             s_hi += t_hi
-            if t_lo > 1e-15 * s_lo and s_hi < 1e-2 * _RESCALE_LIMIT:
+            rescale_gated = s_hi < 1e-2 * _RESCALE_LIMIT
+        if settle_gated:
+            t_lo *= r_lo * abs(coef)
+            s_lo += t_lo
+            settle_gated = t_lo > 2e-17 * s_lo
+        if settle_gated:
+            skipped = True
+            if rescale_gated:
                 continue
-            gated = False
         abs_term = np.abs(term)
         abs_s = np.abs(s)
-        small = abs_term <= 1e-17 * abs_s
-        done = small & prev_small
-        prev_small = small
-        if done.any():
-            k = np.flatnonzero(done)
-            out[idx[k]] = np.log(s[k]) + log_scale[k]
-            n_open -= k.size
-            if not n_open:
-                return out
-            # A settled entry keeps a zero term and a NaN sum, so it never
-            # settles again or asks for a rescale.  Compressing only once
-            # half the entries have settled keeps the copies from costing
-            # more than the terms they save.
-            s[k] = np.nan
-            term[k] = 0.0
-            is_open[k] = False
-            if 2 * n_open <= idx.size:
-                idx, z, s, term, log_scale, prev_small, is_open, abs_term, abs_s = (
-                    v[is_open]
-                    for v in (idx, z, s, term, log_scale, prev_small, is_open, abs_term, abs_s)
-                )
-        # fmax skips the NaN sums of settled entries, as the comparisons below do.
-        if np.fmax.reduce(abs_s) > _RESCALE_LIMIT or np.fmax.reduce(abs_term) > _RESCALE_LIMIT:
-            big = (abs_s > _RESCALE_LIMIT) | (abs_term > _RESCALE_LIMIT)
-            s[big] /= _RESCALE_LIMIT
-            term[big] /= _RESCALE_LIMIT
-            log_scale[big] += _RESCALE_LOG
+        if not settle_gated:
+            if skipped:
+                # The skipped term before this one was small nowhere.
+                prev_small = np.zeros(z.shape, dtype=bool)
+                skipped = False
+            checked += 1
+            small = abs_term <= 1e-17 * abs_s
+            done = small & prev_small if np.count_nonzero(small) else None
+            prev_small = small
+            if done is not None and np.count_nonzero(done):
+                k = np.flatnonzero(done)
+                out[idx[k]] = np.log(s[k]) + log_scale[k]
+                n_open -= k.size
+                if not n_open:
+                    return out
+                # A settled entry keeps a zero term and a NaN sum, so it
+                # never settles again or asks for a rescale.  Compressing
+                # only once half the entries have settled keeps the copies
+                # from costing more than the terms they save.
+                s[k] = np.nan
+                term[k] = 0.0
+                is_open[k] = False
+                abs_z[k] = abs_s[k] = np.nan
+                if 2 * n_open <= idx.size:
+                    idx, z, s, term, log_scale, prev_small, is_open, abs_term, abs_s, abs_z = (
+                        v[is_open]
+                        for v in (idx, z, s, term, log_scale, prev_small, is_open, abs_term, abs_s, abs_z)
+                    )
+                    checked = _REARM_AFTER
+                if checked >= _REARM_AFTER:
+                    # Re-arm the settle gate for the entries still open; not
+                    # after every settle, where entries settle term by term.
+                    r_lo = float(np.fmin.reduce(abs_z))
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        s_lo = float(np.fmax.reduce(abs_s / abs_term))
+                    t_lo = 1.0
+                    settle_gated = True
+                    checked = 0
+        if not rescale_gated:
+            # fmax skips the NaN sums of settled entries, as the comparisons below do.
+            t_hi = np.fmax.reduce(abs_term)
+            s_hi = np.fmax.reduce(abs_s)
+            if s_hi > _RESCALE_LIMIT or t_hi > _RESCALE_LIMIT:
+                big = (abs_s > _RESCALE_LIMIT) | (abs_term > _RESCALE_LIMIT)
+                s[big] /= _RESCALE_LIMIT
+                term[big] /= _RESCALE_LIMIT
+                log_scale[big] += _RESCALE_LOG
+            else:
+                t_hi, s_hi = float(t_hi), float(s_hi)
+                rescale_gated = s_hi < 1e-2 * _RESCALE_LIMIT
     raise ConvergenceError(
         f"2F1 series did not converge within {_MAX_SERIES_TERMS} terms "
         f"(a={a}, b={b}, c={c}, worst |z|={np.abs(z[is_open]).max():.6g})"
@@ -223,6 +264,275 @@ def _connection_at_one_ln(a, b, c, omz: np.ndarray) -> np.ndarray:
     return shift + np.log(np.exp(t1 - shift) + np.exp(t2 - shift))
 
 
+# Euler's transformation 2F1(a, b; c; z) = (1 - z)^(c - a - b) 2F1(c - a,
+# c - b; c; z) pays a log(1 - z) per entry (a few direct-series terms on a
+# large call) and, on a call it splits, a second series call and the
+# routing, which on calls of 16-64 entries outweigh a gain of 8-16 terms.
+# Euler's series must settle this many terms sooner.
+_EULER_LOG_TERMS = 16
+# The route rule tabulates its majorants at r_k = 1 / (1 + 2^-k), so in
+# octaves of r / (1 - r), for |k| <= _EULER_GRID_MAX.
+_EULER_GRID_MAX = 40
+_EULER_NO = 1e300  # a grid excess that no entry can meet
+# Allowance on the conditioning guard, in log units: at a real z the two
+# sides can be equal, and 1 - |z| and the given 1 - z differ by an ulp; 1 %
+# more rounding is immaterial, and a table whose excess stays within it
+# spares every entry the guard's arithmetic.
+_EULER_GUARD_SLACK = 0.01
+
+
+def _majorant_point(a: float, b: float, c: float, k: int) -> tuple:
+    """``(d, x, short)``: the Euler route's majorant data at r_k.
+
+    Runs, in Python floats, the majorants sum_n r^n P_n of the direct
+    series (P_n the product of its coefficient moduli) and of Euler's
+    series 2F1(c - a, c - b; c; r), with Euler's signed sum beside them.
+    ``d`` is how many terms sooner Euler's majorant settles (the rule of
+    ``_series_2f1_ln``), counted up to 2 ``_EULER_LOG_TERMS`` beyond
+    Euler's count, and 0 when the direct majorant settles first.  ``x`` is
+    log S_e - log S_d - (a + b - c) log(1 - r), the excess conditioning of
+    Euler's series over the direct one at a real argument r.  With a, b,
+    c > 0 the direct coefficients are positive, so S_d = 2F1(a, b; c; r) =
+    (1 - r)^(c - a - b) F_e(r) and ``x`` = log(S_e / F_e(r)) needs Euler's
+    loop alone, while that loop keeps six digits of F_e; past that S_d is
+    scipy's real 2F1, which does not cancel there.  Otherwise, or when that
+    overflows, the direct majorant's partial sum bounds S_d from below, so
+    ``x`` errs towards the direct series.  ``short`` says the direct
+    majorant settled within ``_EULER_LOG_TERMS + 1`` terms, so no smaller
+    radius can gain.
+    """
+    r = _grid_radius(k)
+    log_1mr = -math.log1p(2.0 ** k)
+    if 40.0 * (1.0 + 2.0 ** k) > _MAX_SERIES_TERMS:
+        return 0.0, _EULER_NO, False  # Euler's own series would give up
+    ae, be = c - a, c - b
+    positive = a > 0.0 and b > 0.0 and c > 0.0
+    td = sd = te = se = fte = fe = 1.0
+    log_sd = log_se = 0.0
+    nd = ne = 0
+    prev_d = prev_e = False
+    limit, extra = _RESCALE_LIMIT, 2 * _EULER_LOG_TERMS
+    for n in range(_MAX_SERIES_TERMS):
+        den = (c + n) * (n + 1.0)
+        if not nd:
+            td *= r * abs((a + n) * (b + n) / den)
+            sd += td
+            small = td <= 1e-17 * sd
+            if small and prev_d:
+                nd = n + 1
+            prev_d = small
+            if sd > limit:
+                td /= limit
+                sd /= limit
+                log_sd += _RESCALE_LOG
+        if not ne:
+            coef = r * ((ae + n) * (be + n) / den)
+            te *= abs(coef)
+            se += te
+            fte *= coef
+            fe += fte
+            small = te <= 1e-17 * se
+            if small and prev_e:
+                ne = n + 1
+            prev_e = small
+            if se > limit:
+                te /= limit
+                se /= limit
+                fte /= limit
+                fe /= limit
+                log_se += _RESCALE_LOG
+        elif nd or n + 1 >= ne + extra:
+            break
+        if nd and not ne:
+            return 0.0, _EULER_NO, nd <= _EULER_LOG_TERMS + 1
+    else:
+        return 0.0, _EULER_NO, False
+    d = float((nd or n + 1) - ne)
+    if positive and fe >= 1e-6 * se:
+        x = math.log(se / fe)
+    else:
+        if positive and not nd:
+            f = float(hyp2f1(a, b, c, r))
+            if 0.0 < f < math.inf and math.log(f) > log_sd + math.log(sd):
+                log_sd, sd = 0.0, f
+        x = log_se + math.log(se) - log_sd - math.log(sd) - (a + b - c) * log_1mr
+    return d, x, 0 < nd <= _EULER_LOG_TERMS + 1
+
+
+@functools.lru_cache(maxsize=128)
+def _majorant_grid(a: float, b: float, c: float) -> tuple:
+    """Per (a, b, c): grid index -> ``_majorant_point``, and the walk from
+    each starting index (see ``_euler_walk``), both filled on demand."""
+    return {}, {}
+
+
+def _grid_values(a: float, b: float, c: float, k: int) -> tuple:
+    points = _majorant_grid(a, b, c)[0]
+    if k not in points:
+        points[k] = _majorant_point(a, b, c, k)
+    return points[k]
+
+
+def _grid_radius(k: int) -> float:
+    return 1.0 / (1.0 + 2.0 ** -k)
+
+
+_GRID_SCALE = 1.0 / math.log(2.0)
+
+
+def _grid_coordinate(r, log1p_neg_r):
+    """log2(r / (1 - r)), at most ``_EULER_GRID_MAX``, for r in (0, 1]."""
+    return np.minimum((np.log(r) - log1p_neg_r) * _GRID_SCALE, float(_EULER_GRID_MAX))
+
+
+def _direct_limit(a: float, b: float, c: float) -> float:
+    """The |z| beyond which ``_series_2f1_ln`` gives up on the direct series
+    at once; Euler's series takes those entries whatever the grid says."""
+    return 1.0 - (40.0 + a + b - c) / _MAX_SERIES_TERMS
+
+
+def _euler_walk(a: float, b: float, c: float, r_hi: float):
+    """The Euler route's rule for radii up to r_hi, or None if Euler's
+    series gains nowhere there.
+
+    Walks down from above r_hi to the first grid point whose direct
+    majorant settles within ``_EULER_LOG_TERMS + 1`` terms.  N_d only falls
+    with r and Euler's count is at least 2, so no grid value below reaches
+    the cost, nor does any interpolation between them: the short cut never
+    changes a route, and neither does where the walk starts.  Returns
+    ``(k_lo, k_hi, spans, excess)``: the radius intervals where the settle
+    gain, interpolated linearly in the grid coordinate between the points
+    k_lo..k_hi, reaches the cost, and the excess conditioning at those
+    points, or None for the excess when it nowhere exceeds the guard's
+    allowance.
+    """
+    if r_hi <= 0.0:
+        return None
+    if r_hi < 1.0:
+        u = (math.log(r_hi) - math.log1p(-r_hi)) * _GRID_SCALE
+        k_hi = min(max(math.floor(u) + 1, 1 - _EULER_GRID_MAX), _EULER_GRID_MAX)
+    else:
+        k_hi = _EULER_GRID_MAX
+    walks = _majorant_grid(a, b, c)[1]
+    if k_hi not in walks:
+        k = k_hi
+        while True:
+            short = _grid_values(a, b, c, k)[2]
+            if short or k == -_EULER_GRID_MAX:
+                break
+            k -= 1
+        points = [_grid_values(a, b, c, j) for j in range(k, k_hi + 1)]
+        spans = []
+        for j, ((d0, _, _), (d1, _, _)) in enumerate(zip(points, points[1:])):
+            lo, hi = 0.0, 1.0  # the part of segment j where the gain reaches the cost
+            if d0 < _EULER_LOG_TERMS:
+                lo = (_EULER_LOG_TERMS - d0) / (d1 - d0) if d1 >= _EULER_LOG_TERMS else 2.0
+            elif d1 < _EULER_LOG_TERMS:
+                hi = (d0 - _EULER_LOG_TERMS) / (d0 - d1)
+            if lo > hi:
+                continue
+            r_lo, r_hi_j = (_grid_radius(k + j + f) for f in (lo, hi))
+            if spans and spans[-1][1] == r_lo:
+                spans[-1] = (spans[-1][0], r_hi_j)
+            else:
+                spans.append((r_lo, r_hi_j))
+        if spans and spans[-1][1] == _grid_radius(k_hi):
+            # Open at the top, so that a radius an ulp above r_k_hi (when
+            # r_hi sits on a grid point) is judged as the top point.
+            spans[-1] = (spans[-1][0], math.inf)
+        excess = np.array([x for _, x, _ in points])
+        guarded = excess.max() > _EULER_GUARD_SLACK
+        walks[k_hi] = (k, k_hi, spans, excess if guarded else None) if spans else None
+    return walks[k_hi]
+
+
+def _euler_entries(a, b, c, r, abs_omz, walk):
+    """Which entries of radius r (and |1 - z| ``abs_omz``) take Euler's
+    series, by the rule ``_euler_walk`` returned.
+
+    Euler needs a gain of at least ``_EULER_LOG_TERMS`` terms, and an
+    excess, interpolated in the grid coordinate, within the room a complex
+    z leaves it over the real argument of the same modulus: (a + b - c)
+    (log|1 - z| - log(1 - |z|)), never negative.
+    """
+    k_lo, k_hi, spans, excess = walk
+    fast = np.zeros(r.shape, dtype=bool)
+    for r_a, r_b in spans:
+        fast |= (r >= r_a) & (r <= r_b)
+    if excess is None or not fast.any():
+        return fast
+    i = np.flatnonzero(fast)
+    r, abs_omz = r[i], abs_omz[i]
+    with np.errstate(divide="ignore"):
+        log1p_neg_r = np.log1p(-r)
+        room = (a + b - c) * (np.log(abs_omz) - log1p_neg_r)
+    u = _grid_coordinate(r, log1p_neg_r)
+    base = np.minimum(np.maximum(np.floor(u), k_lo), k_hi - 1)
+    frac = u - base
+    j = (base - k_lo).astype(np.intp)
+    x0 = excess[j]
+    fast[i] = x0 + frac * (excess[j + 1] - x0) <= np.maximum(room, 0.0) + _EULER_GUARD_SLACK
+    return fast
+
+
+def _euler_entry(a, b, c, r, abs_omz) -> bool:
+    """``_euler_entries`` for one entry, in floats (numpy scalars where a
+    transcendental function must round as the vector route's does)."""
+    if r > _direct_limit(a, b, c):
+        return True
+    walk = _euler_walk(a, b, c, float(r))
+    if walk is None or not r > _grid_radius(walk[0]):
+        return False
+    k_lo, k_hi, spans, excess = walk
+    if not any(r_a <= r <= r_b for r_a, r_b in spans):
+        return False
+    if excess is None:
+        return True
+    with np.errstate(divide="ignore"):
+        log1p_neg_r = np.log1p(-r)
+        room = float((a + b - c) * (np.log(abs_omz) - log1p_neg_r))
+    u = float(_grid_coordinate(r, log1p_neg_r))
+    base = min(max(math.floor(u), k_lo), k_hi - 1)
+    frac = u - base
+    x0, x1 = excess[base - k_lo], excess[base - k_lo + 1]
+    return x0 + frac * (x1 - x0) <= max(room, 0.0) + _EULER_GUARD_SLACK
+
+
+def _pfaff_ln(a, b, c, z, omz):
+    """log 2F1 by Pfaff's transformation, with w = z / (z - 1)."""
+    w = -z / omz
+    if np.any(np.abs(w) > 0.999):
+        raise ConvergenceError(
+            "Pfaff-transformed 2F1 argument too close to the unit circle "
+            f"(worst |w|={np.abs(w).max():.6g})"
+        )
+    if a >= b:
+        return -b * np.log(omz) + _series_2f1_ln(c - a, b, c, w)
+    return -a * np.log(omz) + _series_2f1_ln(c - b, a, c, w)
+
+
+def _euler_ln(a, b, c, z, omz):
+    """log 2F1 by Euler's transformation (DLMF 15.8.1).
+
+    log(1 - z) is taken as log|1 - z| + i arg(1 - z) from real ufuncs, a
+    tenth of the cost of numpy's complex log.  The factor (1 - z)^(c - a -
+    b) multiplies the relative rounding of 1 - z by |c - a - b|, so while
+    |1 - z|^2 is within 1/2 of 1 the log is taken from z itself, as
+    log1p(x (x - 2) + y^2) / 2 and atan2(-y, 1 - x) with x + iy = z: a
+    1 - z rounded apart from z (the caller's, say) would cost the digits
+    the direct series keeps.  Elsewhere, nearer the cut, the given 1 - z
+    is the better input.
+    """
+    x, y = z.real, z.imag
+    w = x * (x - 2.0) + y * y  # |1 - z|^2 - 1
+    near = np.abs(w) <= 0.5
+    log_omz = 0.5 * np.log1p(w) + 1j * np.arctan2(-y, 1.0 - x)
+    if not near.all():
+        far = ~near
+        log_omz[far] = np.log(np.abs(omz[far])) + 1j * np.arctan2(omz.imag[far], omz.real[far])
+    return (c - a - b) * log_omz + _series_2f1_ln(c - a, c - b, c, z)
+
+
 def hyp2f1_ln(a, b, c, z, one_minus_z=None):
     """Principal-branch log of 2F1(a, b; c; z) for scalar parameters.
 
@@ -230,9 +540,15 @@ def hyp2f1_ln(a, b, c, z, one_minus_z=None):
     cut [1, inf).  ``one_minus_z`` may be supplied when ``1 - z`` is known
     more accurately than it can be recomputed.
 
-    Re(z) < 0 or |z| > 1 goes through the Pfaff transformation, |z| <= 0.9
-    through the ascending series, and the remaining near-unit annulus
-    through Euler's transformation whenever that improves the tail decay.
+    Re(z) < 0 or |z| > 1 goes through the Pfaff transformation, and
+    |1 - z| < 0.05 through the expansion around z = 1 when c - a - b is not
+    an integer.  Every other entry with a + b - c > 0 goes through Euler's
+    transformation when, by the coefficient-modulus majorants at its |z|,
+    Euler's series settles at least ``_EULER_LOG_TERMS`` terms sooner and
+    is no worse conditioned: log S_e <= log S_d + (a + b - c) log|1 - z|
+    (see ``_majorant_point``).  The rest is summed directly.  Each entry's
+    route depends on its own z and 1 - z only, never on the other entries
+    of the call, and a lone entry is routed by float comparisons.
     """
     a = float(a)
     b = float(b)
@@ -253,56 +569,74 @@ def hyp2f1_ln(a, b, c, z, one_minus_z=None):
         if one_minus_z is None
         else np.asarray(one_minus_z, dtype=complex).ravel()
     )
-    out = np.empty(flat.shape, dtype=complex)
+    if _is_nonpositive_int(a) or _is_nonpositive_int(b):
+        out = _series_2f1_ln(a, b, c, flat)
+    elif flat.size == 1:
+        out = _hyp2f1_one_ln(a, b, c, flat, omz)
+    else:
+        out = _hyp2f1_routed_ln(a, b, c, flat, omz)
+    return out.reshape(z_arr.shape) if z_arr.shape else out[0]
 
-    on_cut = (flat.imag == 0.0) & (flat.real >= 1.0)
-    terminating = _is_nonpositive_int(a) or _is_nonpositive_int(b)
-    if on_cut.any() and not terminating:
+
+def _can_connect(a: float, b: float, c: float) -> bool:
+    # The expansion around z = 1 needs c - a - b away from the integers
+    # (the log case is not implemented).
+    cab = c - a - b
+    return abs(cab - round(cab)) > 1e-6
+
+
+def _hyp2f1_one_ln(a, b, c, z, omz):
+    """``hyp2f1_ln`` for one entry, routed by float comparisons; each route
+    runs the vector route's own array code, so the bits agree."""
+    zc = complex(z[0])
+    if zc.imag == 0.0 and zc.real >= 1.0:
         raise ValueError("2F1 argument lies on the branch cut [1, inf)")
+    r = np.abs(z)[0]
+    abs_omz = np.abs(omz)[0]
+    if zc.real < 0.0 or r > 1.0:
+        return _pfaff_ln(a, b, c, z, omz)
+    if abs_omz < 0.05 and _can_connect(a, b, c):
+        return _connection_at_one_ln(a, b, c, omz)
+    if a + b - c > 0.0 and _euler_entry(a, b, c, r, abs_omz):
+        return _euler_ln(a, b, c, z, omz)
+    return _series_2f1_ln(a, b, c, z)
 
-    if terminating:
-        out[:] = _series_2f1_ln(a, b, c, flat)
-        return out.reshape(z_arr.shape) if z_arr.shape else out[0]
 
-    use_pfaff = (flat.real < 0.0) | (np.abs(flat) > 1.0)
-    rest = ~use_pfaff
+def _hyp2f1_routed_ln(a, b, c, flat, omz):
+    out = np.empty(flat.shape, dtype=complex)
+    if ((flat.imag == 0.0) & (flat.real >= 1.0)).any():
+        raise ValueError("2F1 argument lies on the branch cut [1, inf)")
+    abs_z = np.abs(flat)
+    abs_omz = np.abs(omz)
+    use_pfaff = (flat.real < 0.0) | (abs_z > 1.0)
+    remaining = ~use_pfaff
     # Expansion around z = 1 wherever it applies: geometric in 1 - z, so it
     # replaces tens of thousands of ascending-series terms near the cut.
-    # Needs c - a - b away from the integers (log case not implemented).
-    cab = c - a - b
-    can_connect = abs(cab - round(cab)) > 1e-6
-    if can_connect:
-        use_conn = rest & (np.abs(omz) < 0.05)
-    else:
-        use_conn = np.zeros_like(rest)
-    remaining = rest & ~use_conn
-    near_one = remaining & (np.abs(flat) > 0.9)
-    use_euler = near_one & ((a + b - c) > 0.0)
-    use_direct = remaining & ~use_euler
-
-    if use_conn.any():
-        out[use_conn] = _connection_at_one_ln(a, b, c, omz[use_conn])
-    if use_pfaff.any():
-        zp = flat[use_pfaff]
-        omzp = omz[use_pfaff]
-        w = -zp / omzp
-        if np.any(np.abs(w) > 0.999):
-            raise ConvergenceError(
-                "Pfaff-transformed 2F1 argument too close to the unit circle "
-                f"(worst |w|={np.abs(w).max():.6g})"
-            )
-        if a >= b:
-            out[use_pfaff] = -b * np.log(omzp) + _series_2f1_ln(c - a, b, c, w)
-        else:
-            out[use_pfaff] = -a * np.log(omzp) + _series_2f1_ln(c - b, a, c, w)
-    if use_euler.any():
-        out[use_euler] = (c - a - b) * np.log(omz[use_euler]) + _series_2f1_ln(
-            c - a, c - b, c, flat[use_euler]
-        )
-    if use_direct.any():
-        out[use_direct] = _series_2f1_ln(a, b, c, flat[use_direct])
-
-    return out.reshape(z_arr.shape) if z_arr.shape else out[0]
+    use_conn = remaining & (abs_omz < 0.05) if _can_connect(a, b, c) else None
+    if use_conn is not None:
+        remaining &= ~use_conn
+    use_euler = None
+    if a + b - c > 0.0 and remaining.any():
+        use_euler = remaining & (abs_z > _direct_limit(a, b, c))
+        walk = _euler_walk(a, b, c, float(abs_z[remaining].max()))
+        if walk is not None:
+            i = np.flatnonzero(remaining & (abs_z > _grid_radius(walk[0])))
+            use_euler[i] |= _euler_entries(a, b, c, abs_z[i], abs_omz[i], walk)
+        if not use_euler.any():
+            use_euler = None
+    use_direct = remaining if use_euler is None else remaining & ~use_euler
+    routes = (
+        (use_conn, lambda m: _connection_at_one_ln(a, b, c, omz[m])),
+        (use_pfaff, lambda m: _pfaff_ln(a, b, c, flat[m], omz[m])),
+        (use_euler, lambda m: _euler_ln(a, b, c, flat[m], omz[m])),
+        (use_direct, lambda m: _series_2f1_ln(a, b, c, flat[m])),
+    )
+    for mask, route in routes:
+        if mask is not None and mask.any():
+            if mask.all():  # one route for every entry: no gather or scatter
+                return route(slice(None))
+            out[mask] = route(mask)
+    return out
 
 
 def _log_sum_exp(log_x, weights=None):

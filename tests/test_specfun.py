@@ -235,6 +235,102 @@ def test_2f1_rescaled_series_against_mpmath(a):
         assert abs(gi - want) <= 1e-13 * abs(want), zi
 
 
+def test_2f1_rescaled_direct_series_against_mpmath():
+    # hyp2f1_ln may send these integer-shape entries through Euler's
+    # terminating series; the rescaled direct sum must stay accurate too.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    z = np.array([0.5, 0.4999, 0.4998, 1e-3], dtype=complex)
+    for a in (237.0, 400.0):
+        got = iftr.specfun._series_2f1_ln(a, a, 1.0, z)
+        assert np.all(got[:3].real > math.log(1e250))
+        for zi, gi in zip(z, got):
+            want = complex(mpmath.log(mpmath.hyp2f1(a, a, 1, zi)))
+            assert abs(gi - want) <= 1e-13 * abs(want), (a, zi)
+
+
+def contour_2f1_arguments(p, x):
+    """(a, b, c, z, 1 - z) of the 2F1 the MGF evaluates on the inversion
+    contour of ``cdf(p, x)``."""
+    seen = []
+
+    def record(a, b, c, z, one_minus_z=None):
+        seen.append((a, b, c, np.array(z), np.array(one_minus_z)))
+        return hyp2f1_ln(a, b, c, z, one_minus_z)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(iftr.stats, "hyp2f1_ln", record)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            iftr.stats.cdf(p, np.atleast_1d(x))
+    return seen[0]
+
+
+def test_2f1_routes_against_mpmath_on_contours():
+    # Across the parameter box, every contour entry is at most ten times
+    # less accurate than the direct series summed on that entry (or within
+    # 1e-13): Euler's series is taken only where it is no worse conditioned.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    rng = np.random.default_rng(1501)
+    checked = 0
+    for _ in range(40):
+        m1 = 10 ** rng.uniform(math.log10(0.2), 2.0)
+        if rng.random() < 0.3:
+            m1 = float(max(1, round(m1)))
+        p = IftrParams(
+            k=10 ** rng.uniform(-1.0, 4.0), delta=rng.uniform(0.0, 1.0),
+            m1=m1, m2=10 ** rng.uniform(math.log10(0.2), 2.0), mean_snr=1.0,
+        )
+        a, b, c, z, omz = contour_2f1_arguments(p, 10 ** rng.uniform(-2.0, 0.5))
+        nodes = rng.choice(z.size, 8, replace=False)
+        got = hyp2f1_ln(a, b, c, z[nodes], omz[nodes])
+        for j, g in zip(nodes, got):
+            try:
+                direct = iftr.specfun._series_2f1_ln(a, b, c, z[j:j + 1])[0]
+            except ConvergenceError:
+                continue  # no direct series to compare with
+            want = mpmath.log(mpmath.hyp2f1(a, b, c, mpmath.mpc(z[j])))
+            err = abs(complex(mpmath.expm1(g - want)))
+            err_direct = abs(complex(mpmath.expm1(direct - want)))
+            assert err <= max(10.0 * err_direct, 1e-13), (p, z[j], err, err_direct)
+            checked += 1
+    assert checked >= 200
+
+
+def test_2f1_fig5_contour_takes_the_one_term_euler_polynomial(monkeypatch):
+    # 2F1(2, 8; 1; z) = (1 - z)^-9 2F1(-1, -7; 1; z) = (1 + 7z) (1 - z)^-9.
+    p = IftrParams(k=80.0, delta=0.9, m1=2.0, m2=8.0, mean_snr=100.0)
+    a, b, c, z, omz = contour_2f1_arguments(p, 2.0 ** 2 - 1.0)
+    assert (a, b, c) == (2.0, 8.0, 1.0) and np.abs(z).max() > 0.7
+    series = []
+    kernel = iftr.specfun._series_2f1_ln
+
+    def counted(a, b, c, z):
+        series.append((a, b))
+        return kernel(a, b, c, z)
+
+    monkeypatch.setattr(iftr.specfun, "_series_2f1_ln", counted)
+    got = np.exp(hyp2f1_ln(a, b, c, z, omz))
+    assert np.allclose(got, (1.0 + 7.0 * z) / (1.0 - z) ** 9, rtol=1e-14, atol=0.0)
+    # Only terminating series of at most two terms ran.
+    assert series and all(min(-a, -b) + 1 <= 2 for a, b in series)
+
+
+def test_cdf_where_the_direct_2f1_series_cancels():
+    # The direct series loses every digit on these contours; Euler's
+    # terminating polynomial does not.
+    p = IftrParams(k=300.0, delta=0.9, m1=250.0, m2=11.0, mean_snr=1.0)
+    x = np.array([0.5, 0.9, 1.5])
+    got = iftr.stats.cdf(p, x)
+    draws = iftr.sim.sample_iftr(p, iftr.sim.SimConfig(n_samples=10 ** 6, seed=2, output="snr"))
+    mc = np.array([np.mean(draws <= xi) for xi in x])
+    se = np.sqrt(mc * (1.0 - mc) / draws.size)
+    assert np.all(np.abs(got - mc) <= 4.0 * se), (got, mc, se)
+    p = IftrParams(k=14980.8, delta=0.5104, m1=10.0, m2=83.8, mean_snr=3.566)
+    assert iftr.stats.cdf(p, 0.42) == pytest.approx(iftr.stats.cdf(p, 0.42, method="closed-form"), abs=1e-6)
+
+
 def ungated_series_2f1_ln(a, b, c, z):
     """The ascending 2F1 series with its settle and rescale checks on every
     term: the oracle for the gated kernel, with the same array arithmetic."""
