@@ -45,8 +45,13 @@ __all__ = [
 class BerResult:
     """Average error probability plus how it was computed.
 
-    ``est_error`` is a relative error bound (NaN when no useful bound is
-    available, as for the high-SNR asymptote).
+    ``est_error`` is a relative error estimate: NaN when none is available,
+    as for the high-SNR asymptote, and the relative standard error for
+    Monte Carlo.  On the two quadrature routes it counts only the
+    truncation of the theta quadrature, not rounding in the
+    log-coefficients or in the 2F1 MGF:
+    at K = 0.5, Delta = 0.5, m1 = 400, m2 = 2, mean SNR 100 (BPSK) the
+    two routes differ by 7.6e-13 relative while reporting 9.3e-15 and 0.
     """
 
     value: float

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import erfc
 
 __all__ = [
     "M_SHAPE_MAX",
@@ -229,16 +228,19 @@ class ModulationSpec:
             )
 
     def _cep_out_of_range(self):
+        # Scalar math.erfc on the grid: construction needs no scipy.
         snr = np.concatenate(([0.0], np.logspace(-3.0, 3.0, _CEP_GRID_POINTS)))
-        cep = self.cep(snr)
         tol = 1e-12
-        idx = np.argmax((cep < -tol) | (cep > 1.0 + tol))
-        if cep[idx] < -tol or cep[idx] > 1.0 + tol:
-            return float(snr[idx]), float(cep[idx])
+        for x in snr.tolist():
+            cep = sum(alpha * 0.5 * math.erfc(math.sqrt(0.5 * beta * x)) for alpha, beta in self.terms)
+            if cep < -tol or cep > 1.0 + tol:
+                return x, cep
         return None
 
     def cep(self, snr):
         """Conditional error probability at the given instantaneous SNR(s)."""
+        from scipy.special import erfc  # deferred: keeps scipy off the import path
+
         snr = np.asarray(snr, dtype=float)
         out = np.zeros_like(snr)
         for alpha, beta in self.terms:

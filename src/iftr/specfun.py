@@ -18,7 +18,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import gammaln, gammasgn, hyp2f1, xlogy
 
 __all__ = [
     "ConvergenceError",
@@ -232,10 +231,20 @@ def _real_series_2f1_ln(a: float, b: float, c: float, x: float) -> complex:
 
 
 def _log_gamma_signed(x: float) -> complex:
-    """log Gamma(x) for real non-pole x, as a complex log carrying the sign."""
-    if gammasgn(x) < 0.0:
-        return gammaln(x) + 1j * math.pi
-    return complex(gammaln(x))
+    """log Gamma(x) for real x, as a complex log carrying the sign; +inf at
+    the poles x = 0, -1, -2, ..."""
+    x = float(x)
+    if x <= 0.0 and x.is_integer():
+        return complex(math.inf)
+    # Gamma(x) < 0 exactly where floor(x) is a negative odd integer.
+    if x < 0.0 and math.floor(x) % 2:
+        return math.lgamma(x) + 1j * math.pi
+    return complex(math.lgamma(x))
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0, ..., n - 1."""
+    return np.array([math.lgamma(k + 1.0) for k in range(n)])
 
 
 def _connection_at_one_ln(a, b, c, omz: np.ndarray) -> np.ndarray:
@@ -352,6 +361,8 @@ def _majorant_point(a: float, b: float, c: float, k: int) -> tuple:
         x = math.log(se / fe)
     else:
         if positive and not nd:
+            from scipy.special import hyp2f1  # deferred: a rare branch
+
             f = float(hyp2f1(a, b, c, r))
             if 0.0 < f < math.inf and math.log(f) > log_sd + math.log(sd):
                 log_sd, sd = 0.0, f
@@ -682,8 +693,12 @@ def kummer_1f1_ln(m: int, z):
     if np.any(z < 0.0):
         raise ValueError(f"log form needs z >= 0, got {z.min()}")
     n = np.arange(m)
-    log_binom = gammaln(m) - gammaln(n + 1) - gammaln(m - n)
-    log_sum, _ = _log_sum_exp(log_binom + xlogy(n, z[..., None]) - gammaln(n + 1))
+    log_fact = _log_factorials(m)
+    log_binom = log_fact[m - 1] - log_fact - log_fact[::-1]
+    # n log z, with the n = 0 term exactly 0 also at z = 0
+    log_z = np.log(z, out=np.full(z.shape, -np.inf), where=z > 0.0)[..., None]
+    n_log_z = np.multiply(n, log_z, out=np.zeros(z.shape + n.shape), where=n > 0)
+    log_sum, _ = _log_sum_exp(log_binom + n_log_z - log_fact)
     out = z + log_sum
     return out if z.ndim else float(out)
 
@@ -885,7 +900,7 @@ def lauricella_fd3_ln(a, b1, b2, b3, c, x, y, z):
 
     tau = ((1.0 - min(0.0, *args)) * (1.0 - max(0.0, *args))) ** -0.25
     log_int, err = theta_quadrature_ln(log_f, int(np.prod(shape)), tau=tau)
-    log_pref = gammaln(c) - gammaln(a) - gammaln(c - a)
+    log_pref = math.lgamma(c) - math.lgamma(a) - math.lgamma(c - a)
     out = (log_pref + log_int).reshape(shape)
     if not shape:
         return float(out), float(err[0])

@@ -23,7 +23,6 @@ from enum import Enum
 from functools import partial
 
 import numpy as np
-from scipy.special import gammaln
 
 from .laplace import (
     LaplaceInversionConfig,
@@ -32,7 +31,7 @@ from .laplace import (
     log1p_c,
 )
 from .params import IftrParams, ValidationError
-from .specfun import hyp2f1_ln, kummer_1f1_ln, log_i0
+from .specfun import _log_factorials, hyp2f1_ln, kummer_1f1_ln, log_i0
 
 __all__ = [
     "DistributionDomain",
@@ -143,6 +142,8 @@ def mgf(p: IftrParams, s):
 
 
 _MAX_SUM_TERMS = 400
+# log n! for n < _MAX_SUM_TERMS: every factorial the integer-shape sums need.
+_LOG_FACTORIAL = _log_factorials(_MAX_SUM_TERMS)
 
 
 def _integer_shape(value: float) -> int | None:
@@ -190,19 +191,21 @@ class _IntegerShapeForm:
                 mA * mB * (1.0 + k) / (a2 * gbar),
             ]
         )
-        n = np.arange(m_int if p.delta > 0.0 else 1)
+        size = m_int if p.delta > 0.0 else 1
+        n = np.arange(size)
+        log_fact_n = _LOG_FACTORIAL[:size]  # log n!
         log_coeff = (
             math.log1p(k)
             - math.log(gbar)
             + mA * math.log(mA)
             + mB * math.log(mB)
             + (mB - mA) * math.log(a1)
-            - gammaln(n + 1)
-            + gammaln(mA)
-            - gammaln(n + 1)
-            - gammaln(mA - n)
-            + gammaln(mB + n)
-            - gammaln(mB)
+            - log_fact_n
+            + _LOG_FACTORIAL[m_int - 1]
+            - log_fact_n
+            - _LOG_FACTORIAL[m_int - 1 - n]
+            + np.array([math.lgamma(mB + j) for j in range(size)])
+            - math.lgamma(mB)
             - (mB + n) * math.log(a2)
         )
         if n.size > 1:

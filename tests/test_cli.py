@@ -470,12 +470,26 @@ def test_every_flag_value_exits_with_a_documented_code_and_no_traceback(tmp_path
     assert failures == []
 
 
-def test_cli_import_leaves_optimizer_and_integrator_unloaded():
+def _scipy_modules_after(code, *args):
+    """The scipy modules loaded by ``code`` run in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(iftr.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    code = (
-        "import sys, iftr.cli; "
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
-    )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    code += "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_loads_no_scipy():
+    assert _scipy_modules_after("import sys, iftr.cli") == "[]"
+
+
+# `fit` is the only command that needs scipy (its optimizer).
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "--preset", f] for f in ("fig1", "fig2", "fig3")]
+    + [["ber", "--preset", "fig4"], ["outage", "--preset", "fig5"]],
+    ids=lambda argv: argv[-1],
+)
+def test_preset_command_loads_no_scipy(tmp_path, argv):
+    code = "import sys, warnings, iftr.cli; warnings.simplefilter('ignore'); assert iftr.cli.main(sys.argv[1:]) == 0"
+    assert _scipy_modules_after(code, *argv, "--out", str(tmp_path / "out.csv")) == "[]"

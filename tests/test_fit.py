@@ -265,19 +265,19 @@ ROW_CFG = dict(restarts=2, seed=3, max_evaluations=300, m1_grid=(1, 2, 3))
 PINNED = {
     "rice": (
         ("0x1.e1a3a3dbc3923p-1", "0x0.0p+0", "inf", "inf"),
-        "0x1.d497725701c80p-5", 102, None,
-        [([1.5], 0.057201173183369036), ([-2.2291574957073808], 0.05720112163549462)],
+        "0x1.d497725701d80p-5", 102, None,
+        [([1.5], 0.05720117318337081), ([-2.2291574957073808], 0.0572011216354964)],
     ),
     "iftr": (
         ("0x1.24c0b192696d8p+1", "0x1.bedaaeb69e968p-1", "inf", "inf"),
-        "0x1.ce9913eac8e20p-5", 1473, "twdp",
-        [([1.5, 0.5, 0.8494850021680094, 0.8494850021680094], 0.057006048227615125),
-         ([0.8981424621282641, 0.479051298140834, -0.6139881323350982, 1.8584083666764526], 0.06022440425252884)],
+        "0x1.ce9913eac8d20p-5", 1473, "twdp",
+        [([1.5, 0.5, 0.8494850021680094, 0.8494850021680094], 0.0570060482276169),
+         ([0.8981424621282641, 0.479051298140834, -0.6139881323350982, 1.8584083666764526], 0.060224404252527064)],
     ),
     "iftr-integer-m1": (
         ("0x1.24c0b192696d8p+1", "0x1.bedaaeb69e968p-1", "inf", "inf"),
-        "0x1.ce9913eac8e20p-5", 1506, "twdp",
-        [(1, 0.057202684471743925), (2, 0.05718003046433173), (3, 0.05701856653857629)],
+        "0x1.ce9913eac8d20p-5", 1506, "twdp",
+        [(1, 0.0572026844717457), (2, 0.05718003046433351), (3, 0.05701856653857473)],
     ),
 }
 

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import iftr.laplace
 from iftr.laplace import (
     LaplaceInversionConfig,
     ToleranceWarning,
@@ -30,6 +31,13 @@ PAIRS = {
 }
 
 TALBOT = LaplaceInversionConfig(method="fixed-talbot", terms=24)
+
+
+def test_euler_binomial_weights_are_exact():
+    for m in range(4, 16):
+        weights = iftr.laplace._binomial_weights(m)
+        assert weights.tolist() == [math.comb(m, k) / 2**m for k in range(m + 1)]
+        assert weights.sum() == 1.0
 
 
 def test_config_validation():

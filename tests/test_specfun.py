@@ -172,6 +172,23 @@ def test_2f1_huge_parameters_log_route():
     assert abs(complex(got) - complex(want)) < 1e-9 * abs(complex(want))
 
 
+@pytest.mark.parametrize(
+    "x",
+    [-170.3, -58.5, -10.25, -3.7, -2.5, -1.5, -0.5, 1e-300, 1e-8, 0.3, 1.0 + 1e-7, 1.5, 2.5, 7.3, 100.5, 1e5, 1e10],
+)
+def test_log_gamma_signed_against_scipy(x):
+    got = iftr.specfun._log_gamma_signed(x)
+    want = sps.gammaln(x)
+    assert abs(got.real - want) <= 1e-15 * max(1.0, abs(want))
+    assert got.imag == (math.pi if sps.gammasgn(x) < 0.0 else 0.0)
+
+
+@pytest.mark.parametrize("x", [-59.0, -1.0, 0.0])
+def test_log_gamma_signed_is_inf_at_the_poles(x):
+    assert sps.gammaln(x) == math.inf
+    assert iftr.specfun._log_gamma_signed(x) == complex(math.inf)
+
+
 def test_2f1_rejects_cut_and_pole():
     with pytest.raises(ValueError):
         hyp2f1_ln(1.0, 2.0, 3.0, 1.0)

@@ -96,6 +96,37 @@ def test_finite_sum_labeling_symmetry():
         assert a == pytest.approx(b, rel=1e-12)
 
 
+@pytest.mark.parametrize("m_int", [1, 2, 3, 8, 40, 100, 250, 399, 400])
+def test_integer_shape_coefficients_match_the_gammaln_formula(m_int):
+    # Each c_n is a sum of terms up to ~5e3 in size (log Gamma(m_int),
+    # (m_B + n) log a_2), so it is compared at the rounding of its largest term.
+    from scipy.special import gammaln
+
+    for k, delta, m_other in ((10.0, 0.9, 2.3), (300.0, 1.0, 0.7), (0.5, 0.5, 80.0), (3.0, 0.0, 5.5)):
+        p = IftrParams(k=k, delta=delta, m1=m_int, m2=m_other, mean_snr=2.0)
+        form = _integer_shape_form(p)
+        mA, mB, pA, pB = float(m_int), m_other, form.p_int, form.p_other
+        a1 = mA + pA
+        a2 = mA * pB + mB * pA + mA * mB
+        n = np.arange(m_int if delta > 0.0 else 1)
+        terms = [
+            math.log1p(k) - math.log(p.mean_snr) + mA * math.log(mA) + mB * math.log(mB) + (mB - mA) * math.log(a1),
+            -gammaln(n + 1),
+            gammaln(mA),
+            -gammaln(n + 1),
+            -gammaln(mA - n),
+            gammaln(mB + n),
+            -gammaln(mB),
+            -(mB + n) * math.log(a2),
+        ]
+        if n.size > 1:
+            terms.append(2.0 * n * math.log(0.5 * k * delta))
+        want = sum(terms)
+        scale = max(np.max(np.abs(t)) for t in terms)
+        assert form.m_int == m_int and form.log_coeff.shape == n.shape
+        assert np.max(np.abs(form.log_coeff - want)) <= 1e-14 * scale, (k, delta, m_other)
+
+
 @pytest.mark.parametrize(
     "m1, m2, lead",
     [
