@@ -158,13 +158,15 @@ def _invert(transform, x, cfg: LaplaceInversionConfig):
         raise ValueError("inversion abscissae must be finite and > 0")
     engine = _euler_invert if cfg.method == "euler-summation" else _talbot_invert
     values, est = engine(transform, x_arr, cfg)
-    worst = float(est.max())
     # The internal estimate is conservative by design; alarm only on a clear
-    # order-of-magnitude miss.
-    if worst > 10.0 * _PRECISION_TARGET:
+    # order-of-magnitude miss, and say where the worst one is.
+    missed = est > 10.0 * _PRECISION_TARGET
+    if missed.any():
+        i = int(np.argmax(est))
         warnings.warn(
-            f"inversion error estimate {worst:.3g} exceeds target "
-            f"{_PRECISION_TARGET:.3g}",
+            f"inversion error estimate {est[i]:.3g} exceeds target "
+            f"{_PRECISION_TARGET:.3g} at x = {x_arr[i]:.3g} "
+            f"({np.count_nonzero(missed)} of {x_arr.size} abscissae)",
             ToleranceWarning,
             stacklevel=3,
         )

@@ -80,19 +80,7 @@ def _series_2f1_ln(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
     bounds every later |sum|).  So the long tails of the entries near
     |z| = 1 mostly pay for the settle check alone.  The skipped checks
     would have found nothing, so the results are bit-identical to checking
-    every term.
-
-    A call with one entry whose imaginary part is 0.0 (the CDF slope's
-    2F1, and any scalar real ``hyp2f1_ln`` on any route) is summed by
-    ``_real_series_2f1_ln`` in Python floats, which checks every term
-    because a check costs no more than the term.  Numpy's per-term
-    dispatch on one-element arrays is most of the cost it saves.  Only
-    real arguments qualify: with zero imaginary parts numpy's complex
-    products and sums round exactly as float ones do, and a complex
-    number divided by a real one is a product with the reciprocal, so the
-    float loop rescales its sum and term by ``* (1.0 / _RESCALE_LIMIT)``;
-    ``/ _RESCALE_LIMIT`` rounds differently on rare sums.  The two loops
-    agree bit for bit, error messages included.
+    every term.  A lone entry takes the same loop as any batch.
     """
     out = np.empty(z.shape, dtype=complex)
     if not z.size:
@@ -107,9 +95,6 @@ def _series_2f1_ln(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
                 f"2F1 series needs ~{needed:.3g} terms for |z|={r_hi:.6g} "
                 f"(budget {_MAX_SERIES_TERMS}; a={a}, b={b}, c={c})"
             )
-    if z.size == 1 and z.imag[0] == 0.0:
-        out[0] = _real_series_2f1_ln(a, b, c, float(z.real[0]))
-        return out
     idx = np.arange(z.size)
     s = np.ones(z.shape, dtype=complex)
     term = np.ones(z.shape, dtype=complex)
@@ -198,35 +183,6 @@ def _series_2f1_ln(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
     raise ConvergenceError(
         f"2F1 series did not converge within {_MAX_SERIES_TERMS} terms "
         f"(a={a}, b={b}, c={c}, worst |z|={np.abs(z[is_open]).max():.6g})"
-    )
-
-
-def _real_series_2f1_ln(a: float, b: float, c: float, x: float) -> complex:
-    """``_series_2f1_ln`` for one real argument, summed in Python floats.
-
-    The same recurrence (in the same operand order), settle rule, rescale
-    and term budget as the vector loop, checked on every term; see
-    ``_series_2f1_ln`` for why the result is bit-identical.
-    """
-    s = term = 1.0
-    log_scale = 0.0
-    prev_small = False
-    for n in range(_MAX_SERIES_TERMS):
-        coef = (a + n) * (b + n) / ((c + n) * (n + 1.0))
-        ratio = x * coef
-        term = term * ratio
-        s += term
-        small = abs(term) <= 1e-17 * abs(s)
-        if small and prev_small:
-            return np.log(np.complex128(s)) + log_scale
-        prev_small = small
-        if abs(s) > _RESCALE_LIMIT or abs(term) > _RESCALE_LIMIT:
-            s = s * (1.0 / _RESCALE_LIMIT)
-            term = term * (1.0 / _RESCALE_LIMIT)
-            log_scale += _RESCALE_LOG
-    raise ConvergenceError(
-        f"2F1 series did not converge within {_MAX_SERIES_TERMS} terms "
-        f"(a={a}, b={b}, c={c}, worst |z|={abs(x):.6g})"
     )
 
 
@@ -486,40 +442,51 @@ def _euler_entries(a, b, c, r, abs_omz, walk):
     return fast
 
 
-def _euler_entry(a, b, c, r, abs_omz) -> bool:
-    """``_euler_entries`` for one entry, in floats (numpy scalars where a
-    transcendental function must round as the vector route's does)."""
-    if r > _direct_limit(a, b, c):
-        return True
-    walk = _euler_walk(a, b, c, float(r))
-    if walk is None or not r > _grid_radius(walk[0]):
-        return False
-    k_lo, k_hi, spans, excess = walk
-    if not any(r_a <= r <= r_b for r_a, r_b in spans):
-        return False
-    if excess is None:
-        return True
-    with np.errstate(divide="ignore"):
-        log1p_neg_r = np.log1p(-r)
-        room = float((a + b - c) * (np.log(abs_omz) - log1p_neg_r))
-    u = float(_grid_coordinate(r, log1p_neg_r))
-    base = min(max(math.floor(u), k_lo), k_hi - 1)
-    frac = u - base
-    x0, x1 = excess[base - k_lo], excess[base - k_lo + 1]
-    return x0 + frac * (x1 - x0) <= max(room, 0.0) + _EULER_GUARD_SLACK
+def _series_or_euler_ln(a, b, c, z, omz, abs_z, abs_omz):
+    """log 2F1 for entries inside the unit disc, each summed by the direct
+    series or by Euler's, 2F1(c - a, c - b; c; z) (DLMF 15.8.1), by the
+    one per-entry route rule: Euler's series when a + b - c > 0 and, by
+    the majorants at the entry's |z| (``_euler_walk``, ``_euler_entries``),
+    it settles at least ``_EULER_LOG_TERMS`` terms sooner and is no worse
+    conditioned, log S_e <= log S_d + (a + b - c) log|1 - z| (see
+    ``_majorant_point``), or when the direct series would give up at once.
+    ``abs_z`` and ``abs_omz`` are |z| and |1 - z|."""
+    use_euler = None
+    if a + b - c > 0.0:
+        use_euler = abs_z > _direct_limit(a, b, c)
+        walk = _euler_walk(a, b, c, float(abs_z.max()))
+        if walk is not None:
+            i = np.flatnonzero(abs_z > _grid_radius(walk[0]))
+            use_euler[i] |= _euler_entries(a, b, c, abs_z[i], abs_omz[i], walk)
+    if use_euler is None or not use_euler.any():
+        return _series_2f1_ln(a, b, c, z)
+    if use_euler.all():
+        return _euler_ln(a, b, c, z, omz)
+    out = np.empty(z.shape, dtype=complex)
+    out[use_euler] = _euler_ln(a, b, c, z[use_euler], omz[use_euler])
+    out[~use_euler] = _series_2f1_ln(a, b, c, z[~use_euler])
+    return out
 
 
 def _pfaff_ln(a, b, c, z, omz):
-    """log 2F1 by Pfaff's transformation, with w = z / (z - 1)."""
+    """log 2F1 by Pfaff's transformation, with w = z / (z - 1).
+
+    Pfaff's two forms, (1 - z)^(-a) 2F1(a, c - b; c; w) and (1 - z)^(-b)
+    2F1(c - a, b; c; w), are Euler transforms of each other, because 1 - w
+    = 1 / (1 - z).  So with a >= b (2F1 is symmetric in a and b) this is
+    (1 - z)^(-a) times ``_series_or_euler_ln`` at w, whose rule picks the
+    form per entry.
+    """
     w = -z / omz
-    if np.any(np.abs(w) > 0.999):
+    abs_w = np.abs(w)
+    if np.any(abs_w > 0.999):
         raise ConvergenceError(
             "Pfaff-transformed 2F1 argument too close to the unit circle "
-            f"(worst |w|={np.abs(w).max():.6g})"
+            f"(worst |w|={abs_w.max():.6g})"
         )
-    if a >= b:
-        return -b * np.log(omz) + _series_2f1_ln(c - a, b, c, w)
-    return -a * np.log(omz) + _series_2f1_ln(c - b, a, c, w)
+    a, b = max(a, b), min(a, b)
+    omw = 1.0 / omz
+    return -a * np.log(omz) + _series_or_euler_ln(a, c - b, c, w, omw, abs_w, np.abs(omw))
 
 
 def _euler_ln(a, b, c, z, omz):
@@ -551,15 +518,15 @@ def hyp2f1_ln(a, b, c, z, one_minus_z=None):
     cut [1, inf).  ``one_minus_z`` may be supplied when ``1 - z`` is known
     more accurately than it can be recomputed.
 
-    Re(z) < 0 or |z| > 1 goes through the Pfaff transformation, and
-    |1 - z| < 0.05 through the expansion around z = 1 when c - a - b is not
-    an integer.  Every other entry with a + b - c > 0 goes through Euler's
-    transformation when, by the coefficient-modulus majorants at its |z|,
-    Euler's series settles at least ``_EULER_LOG_TERMS`` terms sooner and
-    is no worse conditioned: log S_e <= log S_d + (a + b - c) log|1 - z|
-    (see ``_majorant_point``).  The rest is summed directly.  Each entry's
-    route depends on its own z and 1 - z only, never on the other entries
-    of the call, and a lone entry is routed by float comparisons.
+    Re(z) < 0 or |z| > 1 goes through Pfaff's transformation to w = z /
+    (z - 1), and |1 - z| < 0.05 otherwise through the expansion around
+    z = 1 when c - a - b is not an integer.  Every other entry sums one
+    series, at z or at w, picked by one rule (``_series_or_euler_ln``):
+    Euler's series where the coefficient-modulus majorants say it settles
+    at least ``_EULER_LOG_TERMS`` terms sooner and is no worse conditioned,
+    the direct series otherwise; at w the rule picks between Pfaff's two
+    forms.  Each entry's route depends on its own z and 1 - z only, never
+    on the other entries of the call.
     """
     a = float(a)
     b = float(b)
@@ -582,8 +549,6 @@ def hyp2f1_ln(a, b, c, z, one_minus_z=None):
     )
     if _is_nonpositive_int(a) or _is_nonpositive_int(b):
         out = _series_2f1_ln(a, b, c, flat)
-    elif flat.size == 1:
-        out = _hyp2f1_one_ln(a, b, c, flat, omz)
     else:
         out = _hyp2f1_routed_ln(a, b, c, flat, omz)
     return out.reshape(z_arr.shape) if z_arr.shape else out[0]
@@ -596,23 +561,6 @@ def _can_connect(a: float, b: float, c: float) -> bool:
     return abs(cab - round(cab)) > 1e-6
 
 
-def _hyp2f1_one_ln(a, b, c, z, omz):
-    """``hyp2f1_ln`` for one entry, routed by float comparisons; each route
-    runs the vector route's own array code, so the bits agree."""
-    zc = complex(z[0])
-    if zc.imag == 0.0 and zc.real >= 1.0:
-        raise ValueError("2F1 argument lies on the branch cut [1, inf)")
-    r = np.abs(z)[0]
-    abs_omz = np.abs(omz)[0]
-    if zc.real < 0.0 or r > 1.0:
-        return _pfaff_ln(a, b, c, z, omz)
-    if abs_omz < 0.05 and _can_connect(a, b, c):
-        return _connection_at_one_ln(a, b, c, omz)
-    if a + b - c > 0.0 and _euler_entry(a, b, c, r, abs_omz):
-        return _euler_ln(a, b, c, z, omz)
-    return _series_2f1_ln(a, b, c, z)
-
-
 def _hyp2f1_routed_ln(a, b, c, flat, omz):
     out = np.empty(flat.shape, dtype=complex)
     if ((flat.imag == 0.0) & (flat.real >= 1.0)).any():
@@ -620,27 +568,16 @@ def _hyp2f1_routed_ln(a, b, c, flat, omz):
     abs_z = np.abs(flat)
     abs_omz = np.abs(omz)
     use_pfaff = (flat.real < 0.0) | (abs_z > 1.0)
-    remaining = ~use_pfaff
+    use_rule = ~use_pfaff
     # Expansion around z = 1 wherever it applies: geometric in 1 - z, so it
     # replaces tens of thousands of ascending-series terms near the cut.
-    use_conn = remaining & (abs_omz < 0.05) if _can_connect(a, b, c) else None
+    use_conn = use_rule & (abs_omz < 0.05) if _can_connect(a, b, c) else None
     if use_conn is not None:
-        remaining &= ~use_conn
-    use_euler = None
-    if a + b - c > 0.0 and remaining.any():
-        use_euler = remaining & (abs_z > _direct_limit(a, b, c))
-        walk = _euler_walk(a, b, c, float(abs_z[remaining].max()))
-        if walk is not None:
-            i = np.flatnonzero(remaining & (abs_z > _grid_radius(walk[0])))
-            use_euler[i] |= _euler_entries(a, b, c, abs_z[i], abs_omz[i], walk)
-        if not use_euler.any():
-            use_euler = None
-    use_direct = remaining if use_euler is None else remaining & ~use_euler
+        use_rule &= ~use_conn
     routes = (
         (use_conn, lambda m: _connection_at_one_ln(a, b, c, omz[m])),
         (use_pfaff, lambda m: _pfaff_ln(a, b, c, flat[m], omz[m])),
-        (use_euler, lambda m: _euler_ln(a, b, c, flat[m], omz[m])),
-        (use_direct, lambda m: _series_2f1_ln(a, b, c, flat[m])),
+        (use_rule, lambda m: _series_or_euler_ln(a, b, c, flat[m], omz[m], abs_z[m], abs_omz[m])),
     )
     for mask, route in routes:
         if mask is not None and mask.any():

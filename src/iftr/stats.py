@@ -20,7 +20,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -377,9 +377,19 @@ def cdf_asymptotic_slope(p: IftrParams) -> float:
     The distribution has diversity order one; this is the exact leading
     coefficient of the CDF at the origin: the limit of -s M(s) as
     s -> -inf, where A -> -1 and -s B -> (1 + K) / mean_snr.
+
+    The slope is exactly proportional to 1 / mean_snr, so its value at
+    mean SNR 1 is computed once per channel shape (cached) and divided by
+    mean_snr.  A shape's first call sums its 2F1, typically in 0.1-1 ms;
+    repeated calls cost a cache lookup.  A shape that raises is
+    not cached, so it raises on every call.
     """
-    log_val = _add_specular_log(p, math.log1p(p.k) - math.log(p.mean_snr), -1.0)
-    return math.exp(float(np.real(log_val)))
+    return _unit_mean_slope(p.with_mean_snr(1.0)) / p.mean_snr
+
+
+@lru_cache(maxsize=256)
+def _unit_mean_slope(p: IftrParams) -> float:
+    return math.exp(float(np.real(_add_specular_log(p, math.log1p(p.k), -1.0))))
 
 
 def rician_shadowed_pdf(k: float, m: int, mean_snr: float, x):

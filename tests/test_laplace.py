@@ -97,6 +97,14 @@ def test_tolerance_warning_fires():
         laplace_invert_density(PAIRS["erlang5"][0], np.array([0.1]), cfg)
 
 
+def test_tolerance_warning_names_the_worst_abscissa():
+    # Only the far abscissae miss with 32 nodes; the warning says which.
+    cfg = LaplaceInversionConfig(terms=32)
+    x = np.array([0.1, 1.0, 3.0, 8.0, 30.0])
+    with pytest.warns(ToleranceWarning, match=r"at x = 30 \(2 of 5 abscissae\)$"):
+        laplace_invert_density(PAIRS["erlang5"][0], x, cfg)
+
+
 def test_rejects_nonpositive_abscissae():
     with pytest.raises(ValueError):
         laplace_invert_density(PAIRS["exponential"][0], 0.0)

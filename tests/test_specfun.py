@@ -283,25 +283,38 @@ def contour_2f1_arguments(p, x):
     return seen[0]
 
 
+# ROADMAP item 1's point: on these contours one of Pfaff's two forms
+# cancels at the Re z < 0 entries (by up to 1e-2), the other does not.
+ITEM1_POINT = IftrParams(k=300.0, delta=0.9, m1=250.0, m2=11.0, mean_snr=1.0)
+ITEM1_X = (1.5, 2.0, 2.5)
+
+
+def box_params(rng, log10_k, m_range):
+    """Seeded IftrParams at mean SNR 1: K and both shapes log-uniform, m1
+    rounded to an integer 30 % of the time."""
+    log10_m = (math.log10(m_range[0]), math.log10(m_range[1]))
+    m1 = 10 ** rng.uniform(*log10_m)
+    if rng.random() < 0.3:
+        m1 = float(max(1, round(m1)))
+    return IftrParams(
+        k=10 ** rng.uniform(*log10_k), delta=rng.uniform(0.0, 1.0),
+        m1=m1, m2=10 ** rng.uniform(*log10_m), mean_snr=1.0,
+    )
+
+
 def test_2f1_routes_against_mpmath_on_contours():
     # Across the parameter box, every contour entry is at most ten times
     # less accurate than the direct series summed on that entry (or within
     # 1e-13): Euler's series is taken only where it is no worse conditioned.
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
-    rng = np.random.default_rng(1501)
-    checked = 0
-    for _ in range(40):
-        m1 = 10 ** rng.uniform(math.log10(0.2), 2.0)
-        if rng.random() < 0.3:
-            m1 = float(max(1, round(m1)))
-        p = IftrParams(
-            k=10 ** rng.uniform(-1.0, 4.0), delta=rng.uniform(0.0, 1.0),
-            m1=m1, m2=10 ** rng.uniform(math.log10(0.2), 2.0), mean_snr=1.0,
-        )
-        a, b, c, z, omz = contour_2f1_arguments(p, 10 ** rng.uniform(-2.0, 0.5))
-        nodes = rng.choice(z.size, 8, replace=False)
+
+    def check(p, x, pick):
+        """How many of the picked contour entries were checked."""
+        a, b, c, z, omz = contour_2f1_arguments(p, x)
+        nodes = pick(z.size)
         got = hyp2f1_ln(a, b, c, z[nodes], omz[nodes])
+        checked = 0
         for j, g in zip(nodes, got):
             try:
                 direct = iftr.specfun._series_2f1_ln(a, b, c, z[j:j + 1])[0]
@@ -312,6 +325,16 @@ def test_2f1_routes_against_mpmath_on_contours():
             err_direct = abs(complex(mpmath.expm1(direct - want)))
             assert err <= max(10.0 * err_direct, 1e-13), (p, z[j], err, err_direct)
             checked += 1
+        return checked
+
+    # Every node of the item-1 contours.
+    assert sum(check(ITEM1_POINT, x, np.arange) for x in ITEM1_X) >= 300
+    rng = np.random.default_rng(1501)
+    checked = 0
+    for _ in range(40):
+        p = box_params(rng, (-1.0, 4.0), (0.2, 100.0))
+        x = 10 ** rng.uniform(-2.0, 0.5)
+        checked += check(p, x, lambda n: rng.choice(n, 8, replace=False))
     assert checked >= 200
 
 
@@ -335,10 +358,11 @@ def test_2f1_fig5_contour_takes_the_one_term_euler_polynomial(monkeypatch):
 
 
 def test_cdf_where_the_direct_2f1_series_cancels():
-    # The direct series loses every digit on these contours; Euler's
-    # terminating polynomial does not.
-    p = IftrParams(k=300.0, delta=0.9, m1=250.0, m2=11.0, mean_snr=1.0)
-    x = np.array([0.5, 0.9, 1.5])
+    # The direct series loses every digit on these contours, and from x =
+    # 1.5 up so does one of Pfaff's two forms at their Re z < 0 entries;
+    # the terminating polynomials (Euler's at z, the other form at w) do not.
+    p = ITEM1_POINT
+    x = np.array([0.5, 0.9, 1.5, 2.0, 2.5])
     got = iftr.stats.cdf(p, x)
     draws = iftr.sim.sample_iftr(p, iftr.sim.SimConfig(n_samples=10 ** 6, seed=2, output="snr"))
     mc = np.array([np.mean(draws <= xi) for xi in x])
@@ -346,6 +370,55 @@ def test_cdf_where_the_direct_2f1_series_cancels():
     assert np.all(np.abs(got - mc) <= 4.0 * se), (got, mc, se)
     p = IftrParams(k=14980.8, delta=0.5104, m1=10.0, m2=83.8, mean_snr=3.566)
     assert iftr.stats.cdf(p, 0.42) == pytest.approx(iftr.stats.cdf(p, 0.42, method="closed-form"), abs=1e-6)
+
+
+def pfaff_forms_ln(a, b, c, z, omz):
+    """Pfaff's two forms of log 2F1, (1 - z)^(-a) 2F1(a, c - b; c; w) and
+    (1 - z)^(-b) 2F1(c - a, b; c; w) with w = z / (z - 1), each summed by
+    the plain series; NaN where a series gives up."""
+    w = -z / omz
+    out = []
+    for pre, a_w, b_w in ((a, a, c - b), (b, c - a, b)):
+        try:
+            out.append(-pre * np.log(omz) + iftr.specfun._series_2f1_ln(a_w, b_w, c, w))
+        except ConvergenceError:
+            out.append(np.full(z.shape, complex(math.nan)))
+    return out
+
+
+def test_2f1_pfaff_takes_the_better_form_against_mpmath():
+    # Every Re z < 0 contour entry is within ten times the error of the
+    # better of Pfaff's two forms (or 1e-12) of 40-digit mpmath.  A fixed
+    # choice of form misses by up to 5e30 on some of these entries.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    rng = np.random.default_rng(18)
+    cases = [(ITEM1_POINT, 2.0)]
+    for _ in range(200):
+        p = box_params(rng, (-3.0, 6.0), (0.05, 1e3))
+        cases.append((p, 10 ** rng.uniform(-2.0, 0.5)))
+    checked = telling = 0
+    for p, x in cases:
+        a, b, c, z, omz = contour_2f1_arguments(p, x)
+        nodes = np.flatnonzero((z.real < 0.0) & (np.abs(z) <= 1.0))
+        if p is not ITEM1_POINT and nodes.size > 3:
+            nodes = rng.choice(nodes, 3, replace=False)
+        if not nodes.size:
+            continue
+        got = hyp2f1_ln(a, b, c, z[nodes], omz[nodes])
+        forms = pfaff_forms_ln(a, b, c, z[nodes], omz[nodes])
+        for i, j in enumerate(nodes):
+            want = mpmath.log(mpmath.hyp2f1(a, b, c, mpmath.mpc(z[j])))
+
+            def err(v):
+                return abs(complex(mpmath.expm1(v - want))) if np.isfinite(v) else math.inf
+
+            err_forms = sorted(err(f[i]) for f in forms)
+            assert err(got[i]) <= max(10.0 * err_forms[0], 1e-12), (p, z[j], err(got[i]), err_forms)
+            checked += 1
+            telling += err_forms[1] > max(10.0 * err_forms[0], 1e-12)
+    # Enough entries where only one of the forms passes.
+    assert checked >= 80 and telling >= 30, (checked, telling)
 
 
 def ungated_series_2f1_ln(a, b, c, z):
@@ -427,8 +500,8 @@ def real_kernel_cases(rng):
 
 
 def test_2f1_real_scalar_kernel_is_bit_identical():
-    # A lone real argument is summed in Python floats; it must equal the
-    # same argument summed by the vector loop, here twice in one call.
+    # A lone real argument, on every route, must equal the same argument in
+    # a call of two: an entry's value never depends on its batch.
     rng = np.random.default_rng(2024)
     for a, b, c, x in real_kernel_cases(rng):
         pair = np.array([x, x], dtype=complex)
@@ -451,13 +524,18 @@ def test_cdf_slope_real_kernel_is_bit_identical(monkeypatch):
         )
         for _ in range(1000)
     ]
+    # The slope's lone real 2F1 entry must equal the same entry in a call of
+    # two; the per-shape slope cache is cleared so that each pass sums it.
+    iftr.stats._unit_mean_slope.cache_clear()
     got = [iftr.stats.cdf_asymptotic_slope(p) for p in params]
 
     def vector_loop(a, b, c, z, one_minus_z):
         return hyp2f1_ln(a, b, c, np.array([z, z]), one_minus_z=np.array([one_minus_z] * 2))[0]
 
     monkeypatch.setattr(iftr.stats, "hyp2f1_ln", vector_loop)
+    iftr.stats._unit_mean_slope.cache_clear()
     assert got == [iftr.stats.cdf_asymptotic_slope(p) for p in params]
+    iftr.stats._unit_mean_slope.cache_clear()  # drop the patched pass's values
 
 
 def test_2f1_empty_array():
@@ -474,7 +552,7 @@ def test_2f1_term_budget(monkeypatch):
     with pytest.raises(ConvergenceError, match="did not converge within 100 terms"):
         hyp2f1_ln(-150.0, 1.0, 1.0, np.array([0.5, 1e-3]))
     with pytest.raises(ConvergenceError, match="did not converge within 100 terms"):
-        hyp2f1_ln(-150.0, 1.0, 1.0, 0.5)  # the float kernel
+        hyp2f1_ln(-150.0, 1.0, 1.0, 0.5)  # a lone entry
     assert np.isfinite(hyp2f1_ln(-50.0, 1.0, 1.0, 0.5))
 
 

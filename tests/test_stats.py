@@ -376,6 +376,26 @@ def test_slope_near_the_log_case_fails_loudly():
         cdf_asymptotic_slope(IftrParams(k=1e6, delta=1.0, m1=0.5, m2=0.5))
 
 
+def test_slope_is_the_unit_mean_slope_over_mean_snr():
+    # The slope is cached per channel shape at mean SNR 1 and scaled.
+    shape = dict(k=15.0, delta=0.5, m1=2.5, m2=7.3)
+    unit = cdf_asymptotic_slope(IftrParams(mean_snr=1.0, **shape))
+    for gbar in (1e-3, 0.7, 3.0, 1e4):
+        assert cdf_asymptotic_slope(IftrParams(mean_snr=gbar, **shape)) == unit / gbar
+
+
+def test_slope_raising_shapes_raise_on_every_call():
+    # A failure is not cached: the same shape raises again, at any mean SNR.
+    frozen = IftrParams(k=2.0, delta=0.5, m1=math.inf, m2=2.0)
+    log_case = IftrParams(k=1e6, delta=1.0, m1=0.5, m2=0.5)
+    for gbar in (1.0, 1.0, 20.0):
+        with pytest.raises(NotImplementedError):
+            cdf_asymptotic_slope(frozen.with_mean_snr(gbar))
+    for gbar in (1.0, 1.0):
+        with pytest.raises(ConvergenceError):
+            cdf_asymptotic_slope(log_case.with_mean_snr(gbar))
+
+
 def test_slope_against_cdf_oracle():
     p = IftrParams(k=15.0, delta=0.5, m1=5, m2=2, mean_snr=100.0)
     slope = cdf_asymptotic_slope(p)
