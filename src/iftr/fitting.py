@@ -179,15 +179,10 @@ class _CdfEvaluator:
 
 
 def _objective(evaluator: _CdfEvaluator, emp: EmpiricalCdf, make_params):
-    log_fe = np.log10(emp.F)
-
     def fun(theta):
         try:
             p = make_params(theta)
-            fa = evaluator(p)
-            if np.any(fa <= 0.0):
-                return 1e6
-            return float(np.max(np.abs(log_fe - np.log10(fa))))
+            return modified_ks(emp, lambda _: evaluator(p))
         except (ValidationError, ConvergenceError, ValueError, NotImplementedError, OverflowError):
             return 1e6
 

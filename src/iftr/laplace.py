@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .specfun import ConvergenceError
+
 __all__ = [
     "LaplaceInversionConfig",
     "ToleranceWarning",
@@ -158,6 +160,12 @@ def _invert(transform, x, cfg: LaplaceInversionConfig):
         raise ValueError("inversion abscissae must be finite and > 0")
     engine = _euler_invert if cfg.method == "euler-summation" else _talbot_invert
     values, est = engine(transform, x_arr, cfg)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ConvergenceError(
+            f"inversion gave a non-finite value at x = {x_arr[np.argmax(bad)]:.6g} "
+            f"({np.count_nonzero(bad)} of {x_arr.size} abscissae)"
+        )
     # The internal estimate is conservative by design; alarm only on a clear
     # order-of-magnitude miss, and say where the worst one is.
     missed = est > 10.0 * _PRECISION_TARGET

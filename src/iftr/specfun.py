@@ -246,6 +246,10 @@ _EULER_NO = 1e300  # a grid excess that no entry can meet
 _EULER_GUARD_SLACK = 0.01
 
 
+# With ``_euler_table``'s 128 tables, 512 points hold about 128 shapes.
+# Every objective evaluation of a fit is a new shape, so a larger cache
+# would serve only a repeated fit.
+@functools.lru_cache(maxsize=512)
 def _majorant_point(a: float, b: float, c: float, k: int) -> tuple:
     """``(d, x, short)``: the Euler route's majorant data at r_k.
 
@@ -326,30 +330,11 @@ def _majorant_point(a: float, b: float, c: float, k: int) -> tuple:
     return d, x, 0 < nd <= _EULER_LOG_TERMS + 1
 
 
-@functools.lru_cache(maxsize=128)
-def _majorant_grid(a: float, b: float, c: float) -> tuple:
-    """Per (a, b, c): grid index -> ``_majorant_point``, and the walk from
-    each starting index (see ``_euler_walk``), both filled on demand."""
-    return {}, {}
-
-
-def _grid_values(a: float, b: float, c: float, k: int) -> tuple:
-    points = _majorant_grid(a, b, c)[0]
-    if k not in points:
-        points[k] = _majorant_point(a, b, c, k)
-    return points[k]
-
-
 def _grid_radius(k: int) -> float:
     return 1.0 / (1.0 + 2.0 ** -k)
 
 
 _GRID_SCALE = 1.0 / math.log(2.0)
-
-
-def _grid_coordinate(r, log1p_neg_r):
-    """log2(r / (1 - r)), at most ``_EULER_GRID_MAX``, for r in (0, 1]."""
-    return np.minimum((np.log(r) - log1p_neg_r) * _GRID_SCALE, float(_EULER_GRID_MAX))
 
 
 def _direct_limit(a: float, b: float, c: float) -> float:
@@ -358,87 +343,53 @@ def _direct_limit(a: float, b: float, c: float) -> float:
     return 1.0 - (40.0 + a + b - c) / _MAX_SERIES_TERMS
 
 
-def _euler_walk(a: float, b: float, c: float, r_hi: float):
-    """The Euler route's rule for radii up to r_hi, or None if Euler's
-    series gains nowhere there.
+@functools.lru_cache(maxsize=128)
+def _euler_table(a: float, b: float, c: float, k_hi: int):
+    """The Euler route's rule for radii up to r_k_hi: ``(k, gain, excess,
+    r_lo)``, or None if Euler's series gains nowhere there.
 
-    Walks down from above r_hi to the first grid point whose direct
-    majorant settles within ``_EULER_LOG_TERMS + 1`` terms.  N_d only falls
-    with r and Euler's count is at least 2, so no grid value below reaches
-    the cost, nor does any interpolation between them: the short cut never
-    changes a route, and neither does where the walk starts.  Returns
-    ``(k_lo, k_hi, spans, excess)``: the radius intervals where the settle
-    gain, interpolated linearly in the grid coordinate between the points
-    k_lo..k_hi, reaches the cost, and the excess conditioning at those
-    points, or None for the excess when it nowhere exceeds the guard's
-    allowance.
+    Walks down from k_hi to the first grid point whose direct majorant
+    settles within ``_EULER_LOG_TERMS + 1`` terms.  N_d only falls with r
+    and Euler's count is at least 2, so no grid value below reaches the
+    cost, nor does any interpolation between them: the short cut never
+    changes a route, and neither does where the walk starts.  ``k`` holds
+    the grid abscissae from the point just before the first whose settle
+    gain reaches the cost up to k_hi, ``gain`` and ``excess`` their
+    ``_majorant_point`` values (None for the excess when it is everywhere
+    within the guard's allowance), and ``r_lo`` the radius of the first.
     """
-    if r_hi <= 0.0:
+    k_lo = k_hi
+    while not (_majorant_point(a, b, c, k_lo)[2] or k_lo == -_EULER_GRID_MAX):
+        k_lo -= 1
+    points = [_majorant_point(a, b, c, k) for k in range(k_lo, k_hi + 1)]
+    first = next((j for j, (d, _, _) in enumerate(points) if d >= _EULER_LOG_TERMS), None)
+    if first is None:
         return None
-    if r_hi < 1.0:
-        u = (math.log(r_hi) - math.log1p(-r_hi)) * _GRID_SCALE
-        k_hi = min(max(math.floor(u) + 1, 1 - _EULER_GRID_MAX), _EULER_GRID_MAX)
-    else:
-        k_hi = _EULER_GRID_MAX
-    walks = _majorant_grid(a, b, c)[1]
-    if k_hi not in walks:
-        k = k_hi
-        while True:
-            short = _grid_values(a, b, c, k)[2]
-            if short or k == -_EULER_GRID_MAX:
-                break
-            k -= 1
-        points = [_grid_values(a, b, c, j) for j in range(k, k_hi + 1)]
-        spans = []
-        for j, ((d0, _, _), (d1, _, _)) in enumerate(zip(points, points[1:])):
-            lo, hi = 0.0, 1.0  # the part of segment j where the gain reaches the cost
-            if d0 < _EULER_LOG_TERMS:
-                lo = (_EULER_LOG_TERMS - d0) / (d1 - d0) if d1 >= _EULER_LOG_TERMS else 2.0
-            elif d1 < _EULER_LOG_TERMS:
-                hi = (d0 - _EULER_LOG_TERMS) / (d0 - d1)
-            if lo > hi:
-                continue
-            r_lo, r_hi_j = (_grid_radius(k + j + f) for f in (lo, hi))
-            if spans and spans[-1][1] == r_lo:
-                spans[-1] = (spans[-1][0], r_hi_j)
-            else:
-                spans.append((r_lo, r_hi_j))
-        if spans and spans[-1][1] == _grid_radius(k_hi):
-            # Open at the top, so that a radius an ulp above r_k_hi (when
-            # r_hi sits on a grid point) is judged as the top point.
-            spans[-1] = (spans[-1][0], math.inf)
-        excess = np.array([x for _, x, _ in points])
-        guarded = excess.max() > _EULER_GUARD_SLACK
-        walks[k_hi] = (k, k_hi, spans, excess if guarded else None) if spans else None
-    return walks[k_hi]
+    j = max(first - 1, 0)
+    gain, excess, _ = (np.array(v) for v in zip(*points[j:]))
+    k = np.arange(k_lo + j, k_hi + 1.0)
+    return k, gain, excess if excess.max() > _EULER_GUARD_SLACK else None, _grid_radius(k_lo + j)
 
 
-def _euler_entries(a, b, c, r, abs_omz, walk):
+def _euler_entries(a, b, c, r, abs_omz, table):
     """Which entries of radius r (and |1 - z| ``abs_omz``) take Euler's
-    series, by the rule ``_euler_walk`` returned.
+    series, by the ``_euler_table`` rule.
 
-    Euler needs a gain of at least ``_EULER_LOG_TERMS`` terms, and an
-    excess, interpolated in the grid coordinate, within the room a complex
-    z leaves it over the real argument of the same modulus: (a + b - c)
-    (log|1 - z| - log(1 - |z|)), never negative.
+    Euler needs a settle gain of at least ``_EULER_LOG_TERMS`` terms, and
+    an excess within the room a complex z leaves it over the real argument
+    of the same modulus: (a + b - c) (log|1 - z| - log(1 - |z|)), never
+    negative.  Both are read by ``np.interp`` at the grid coordinate
+    log2(r / (1 - r)), which holds the end values beyond the table.
     """
-    k_lo, k_hi, spans, excess = walk
-    fast = np.zeros(r.shape, dtype=bool)
-    for r_a, r_b in spans:
-        fast |= (r >= r_a) & (r <= r_b)
+    k, gain, excess, _ = table
+    log1p_neg_r = np.log1p(-r)
+    u = (np.log(r) - log1p_neg_r) * _GRID_SCALE
+    fast = np.interp(u, k, gain) >= _EULER_LOG_TERMS
     if excess is None or not fast.any():
         return fast
     i = np.flatnonzero(fast)
-    r, abs_omz = r[i], abs_omz[i]
-    with np.errstate(divide="ignore"):
-        log1p_neg_r = np.log1p(-r)
-        room = (a + b - c) * (np.log(abs_omz) - log1p_neg_r)
-    u = _grid_coordinate(r, log1p_neg_r)
-    base = np.minimum(np.maximum(np.floor(u), k_lo), k_hi - 1)
-    frac = u - base
-    j = (base - k_lo).astype(np.intp)
-    x0 = excess[j]
-    fast[i] = x0 + frac * (excess[j + 1] - x0) <= np.maximum(room, 0.0) + _EULER_GUARD_SLACK
+    room = (a + b - c) * (np.log(abs_omz[i]) - log1p_neg_r[i])
+    fast[i] = np.interp(u[i], k, excess) <= np.maximum(room, 0.0) + _EULER_GUARD_SLACK
     return fast
 
 
@@ -446,18 +397,26 @@ def _series_or_euler_ln(a, b, c, z, omz, abs_z, abs_omz):
     """log 2F1 for entries inside the unit disc, each summed by the direct
     series or by Euler's, 2F1(c - a, c - b; c; z) (DLMF 15.8.1), by the
     one per-entry route rule: Euler's series when a + b - c > 0 and, by
-    the majorants at the entry's |z| (``_euler_walk``, ``_euler_entries``),
+    the majorants at the entry's |z| (``_euler_table``, ``_euler_entries``),
     it settles at least ``_EULER_LOG_TERMS`` terms sooner and is no worse
     conditioned, log S_e <= log S_d + (a + b - c) log|1 - z| (see
     ``_majorant_point``), or when the direct series would give up at once.
-    ``abs_z`` and ``abs_omz`` are |z| and |1 - z|."""
+    ``abs_z`` and ``abs_omz`` are |z| and |1 - z|; the table is the one
+    for the grid point just above the largest |z|."""
     use_euler = None
-    if a + b - c > 0.0:
+    r_hi = float(abs_z.max())
+    if a + b - c > 0.0 and r_hi > 0.0:
         use_euler = abs_z > _direct_limit(a, b, c)
-        walk = _euler_walk(a, b, c, float(abs_z.max()))
-        if walk is not None:
-            i = np.flatnonzero(abs_z > _grid_radius(walk[0]))
-            use_euler[i] |= _euler_entries(a, b, c, abs_z[i], abs_omz[i], walk)
+        k_hi = _EULER_GRID_MAX
+        if r_hi < 1.0:
+            u = (math.log(r_hi) - math.log1p(-r_hi)) * _GRID_SCALE
+            k_hi = min(max(math.floor(u) + 1, 1 - _EULER_GRID_MAX), _EULER_GRID_MAX)
+        table = _euler_table(a, b, c, k_hi)
+        if table is not None:
+            # Entries past the direct limit already take Euler's series, and
+            # the rest have |z| < 1 for the rule's logs.
+            i = np.flatnonzero((abs_z > table[3]) & ~use_euler)
+            use_euler[i] = _euler_entries(a, b, c, abs_z[i], abs_omz[i], table)
     if use_euler is None or not use_euler.any():
         return _series_2f1_ln(a, b, c, z)
     if use_euler.all():

@@ -52,6 +52,17 @@ def test_eval_provenance_block(capsys):
     assert doc["tool"] == "iftr" and "version" in doc and doc["config"]["grid"] == "1:2:3"
 
 
+def test_eval_non_finite_values_are_a_numerical_exit(capsys):
+    argv = ["eval", "--K", "116056.53", "--Delta", "0.92111", "--m1", "456.73", "--m2", "3.8156",
+            "--gamma-bar", "5.6543", "--grid", "0.5:2:4"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert "numerical error:" in captured.err and "nan" not in captured.out
+
+
 def test_eval_rejects_bad_delta(capsys):
     rc = main(["eval", "--quantity", "cdf-snr", "--K", "1", "--Delta", "1.2",
                "--m1", "2", "--m2", "2", "--grid", "1:2:3"])

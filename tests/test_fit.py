@@ -14,7 +14,7 @@ from iftr.fitting import (
     load_empirical_cdf,
     modified_ks,
 )
-from iftr.fitting import _CdfEvaluator
+from iftr.fitting import _CdfEvaluator, _objective
 from iftr.laplace import LaplaceInversionConfig, clamp_counts
 from iftr.params import FAMILIES, IftrParams, ValidationError, family_params
 from iftr.sim import SimConfig, sample_iftr
@@ -157,6 +157,17 @@ def test_evaluator_clamps_are_counted():
     clipped = clamp_counts["cdf_above_one"] - before
     assert clipped > 0
     assert clipped == np.count_nonzero(values == 1.0)
+
+
+def test_objective_scores_a_nan_model_value_as_rejected():
+    # Nelder-Mead must never see a NaN epsilon: a NaN model CDF value among
+    # positive ones scores like a zero one.
+    emp = make_emp()
+    fa = emp.F.copy()
+    fa[4] = np.nan
+    fun = _objective(lambda p: fa, emp, lambda theta: None)
+    assert fun([0.0]) == 1e6
+    assert _objective(lambda p: emp.F.copy(), emp, lambda theta: None)([0.0]) == 0.0
 
 
 def test_rice_recovery_within_ten_percent():

@@ -302,6 +302,17 @@ def test_envelope_domain_change_of_variables():
     )
 
 
+def test_a_non_finite_inversion_raises_naming_the_abscissa():
+    # At this seeded point the contour MGF overflows to NaN; pdf and cdf
+    # must raise rather than return it.
+    p = IftrParams(k=369073.33, delta=0.19935, m1=398.80, m2=0.21114, mean_snr=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for f in (cdf, pdf):
+            with pytest.raises(ConvergenceError, match=r"non-finite value at x = 0\.52746 \(1 of 2 "):
+                f(p, np.array([0.52746, 1e-3]))
+
+
 def test_pdf_close_to_rician_shadowed_at_small_delta():
     p = IftrParams(k=15.0, delta=0.1, m1=3, m2=5, mean_snr=1.0)
     got = pdf(p, 0.5)
