@@ -246,10 +246,6 @@ _EULER_NO = 1e300  # a grid excess that no entry can meet
 _EULER_GUARD_SLACK = 0.01
 
 
-# With ``_euler_table``'s 128 tables, 512 points hold about 128 shapes.
-# Every objective evaluation of a fit is a new shape, so a larger cache
-# would serve only a repeated fit.
-@functools.lru_cache(maxsize=512)
 def _majorant_point(a: float, b: float, c: float, k: int) -> tuple:
     """``(d, x, short)``: the Euler route's majorant data at r_k.
 
@@ -343,6 +339,10 @@ def _direct_limit(a: float, b: float, c: float) -> float:
     return 1.0 - (40.0 + a + b - c) / _MAX_SERIES_TERMS
 
 
+# A pass of the benchmark's curves reads 13 tables of 10 shapes, all held
+# here.  Each evaluation of a fit is a new shape (its 479 calls read 467
+# tables of 459 shapes), so a cache of grid points beside this one would
+# spare 8 of the 632 points a fit computes.
 @functools.lru_cache(maxsize=128)
 def _euler_table(a: float, b: float, c: float, k_hi: int):
     """The Euler route's rule for radii up to r_k_hi: ``(k, gain, excess,
@@ -358,10 +358,13 @@ def _euler_table(a: float, b: float, c: float, k_hi: int):
     ``_majorant_point`` values (None for the excess when it is everywhere
     within the guard's allowance), and ``r_lo`` the radius of the first.
     """
-    k_lo = k_hi
-    while not (_majorant_point(a, b, c, k_lo)[2] or k_lo == -_EULER_GRID_MAX):
-        k_lo -= 1
-    points = [_majorant_point(a, b, c, k) for k in range(k_lo, k_hi + 1)]
+    points = []
+    for k in range(k_hi, -_EULER_GRID_MAX - 1, -1):
+        points.append(_majorant_point(a, b, c, k))
+        if points[-1][2]:
+            break
+    points.reverse()
+    k_lo = k_hi + 1 - len(points)
     first = next((j for j, (d, _, _) in enumerate(points) if d >= _EULER_LOG_TERMS), None)
     if first is None:
         return None
