@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .laplace import DEFAULT_CONFIG, LaplaceInversionConfig, _clamp_cdf, clamp_counts, euler_contour
+from .laplace import DEFAULT_CONFIG, Contour, LaplaceInversionConfig, clamp_counts
 from .params import FAMILIES, IftrParams, ValidationError, family_params
 from .stats import DistributionDomain, mgf
 from .specfun import ConvergenceError
@@ -156,26 +156,16 @@ def modified_ks(emp: EmpiricalCdf, model_cdf) -> float:
 
 
 class _CdfEvaluator:
-    """Model CDF on a fixed abscissa vector with memoized contour nodes.
-
-    The inner fitting loop is dominated by these evaluations, so the
-    Bromwich nodes, weights and the 1/s factor are built once per dataset.
-    """
+    """Model CDF on a fixed abscissa vector.  These evaluations dominate the
+    fitting loop, so one contour is built per dataset."""
 
     def __init__(self, emp: EmpiricalCdf, cfg: LaplaceInversionConfig):
-        x = emp.x
-        if emp.domain is DistributionDomain.ENVELOPE:
-            x = x * x
-        self.x_snr = x
-        self.nodes, self._finish = euler_contour(x, cfg)
-        self.flat_nodes = self.nodes.ravel()
+        self.contour = Contour(emp.x * emp.x if emp.domain is DistributionDomain.ENVELOPE else emp.x, cfg)
         self.n_evals = 0
 
     def __call__(self, p: IftrParams) -> np.ndarray:
         self.n_evals += 1
-        fvals = mgf(p, -self.flat_nodes) / self.flat_nodes
-        values, _ = self._finish(fvals.reshape(self.nodes.shape))
-        return _clamp_cdf(values)
+        return self.contour.cdf(lambda s: mgf(p, -s))
 
 
 def _objective(evaluator: _CdfEvaluator, emp: EmpiricalCdf, make_params):

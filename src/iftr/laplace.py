@@ -15,6 +15,10 @@ Both are deterministic for a fixed configuration.  The `transform`
 callables receive a complex ndarray of contour nodes and must return the
 transform values elementwise; for a random variable with moment
 generating function M this is ``s -> M(-s)``.
+
+Every inversion (density, CDF, Phi_2, the fit's objective) runs through a
+:class:`Contour`: each raises :class:`ConvergenceError` on a non-finite
+value and warns when its error estimate misses the target.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ __all__ = [
     "laplace_invert_density",
     "laplace_invert_cdf",
     "phi2_multi_rate",
-    "euler_contour",
+    "Contour",
     "log1p_c",
     "clamp_counts",
 ]
@@ -91,94 +95,95 @@ def _binomial_weights(m: int) -> np.ndarray:
     return np.array([math.comb(m, k) for k in range(m + 1)], dtype=float) / 2.0**m
 
 
-def euler_contour(x: np.ndarray, cfg: LaplaceInversionConfig):
-    """Euler-summation contour nodes and finisher for abscissae ``x``.
+class Contour:
+    """Bromwich nodes for abscissae ``x`` > 0, built once, and the one
+    checked finish of every inversion.
 
-    Returns ``(s, finish)`` where ``s`` has shape (len(x), nodes) and
-    ``finish(fvals)`` maps transform values on ``s`` to
-    ``(inverse values, relative error estimates)``.  Splitting the two
-    steps lets callers evaluate many transforms on memoized nodes.
+    ``nodes`` (read-only) has shape (len(x), terms); on the fixed-Talbot
+    contour column 0 is the real node.  :meth:`invert` and :meth:`cdf`
+    raise :class:`ConvergenceError` on a non-finite result, and their
+    :class:`ToleranceWarning` points at the line that called their caller.
+    A caller holds one contour to invert many transforms on its nodes.
     """
-    a = _CONTOUR_SHIFT
-    m_binom = min(15, cfg.terms // 4)
-    n_base = cfg.terms - m_binom - 1
-    n_nodes = n_base + m_binom + 1
-    k = np.arange(n_nodes)
-    # Vertical contour Re(s) = a / (2x); alternating series in k.
-    s = (0.5 * a + 1j * math.pi * k)[None, :] / x[:, None]
-    weights = _binomial_weights(m_binom)
-    signs = np.ones(n_nodes)
-    signs[1::2] = -1.0
-    scale = np.exp(0.5 * a) / x
 
-    def finish(fvals: np.ndarray):
-        terms = np.real(fvals) * signs[None, :]
+    def __init__(self, x, cfg: LaplaceInversionConfig | None = None):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
+            raise ValueError("inversion abscissae must be finite and > 0")
+        cfg = cfg or DEFAULT_CONFIG
+        self.x, m, self._talbot = x, cfg.terms, cfg.method == "fixed-talbot"
+        if self._talbot:
+            theta = math.pi * np.arange(1, m) / m
+            cot = 1.0 / np.tan(theta)
+            self._r = 2.0 * m / (5.0 * x)
+            s = np.column_stack((self._r + 0j, self._r[:, None] * theta * (cot + 1j)))
+            self._sigma = theta + (theta * cot - 1.0) * cot
+        else:
+            self._m_binom = min(15, m // 4)
+            # Vertical contour Re(s) = shift / (2x); alternating series in k.
+            s = (0.5 * _CONTOUR_SHIFT + 1j * math.pi * np.arange(m))[None, :] / x[:, None]
+            self._weights = _binomial_weights(self._m_binom)
+            self._signs = np.where(np.arange(m) % 2, -1.0, 1.0)
+            self._scale = np.exp(0.5 * _CONTOUR_SHIFT) / x
+        s.flags.writeable = False
+        self.nodes, self._flat = s, s.ravel()
+
+    def _euler_sum(self, fvals):
+        n_base = fvals.shape[1] - self._m_binom - 1
+        terms = np.real(fvals) * self._signs[None, :]
         terms[:, 0] *= 0.5
         partial = np.cumsum(terms, axis=1)
-        accel = partial[:, n_base : n_base + m_binom + 1] @ weights
+        accel = partial[:, n_base:] @ self._weights
         # Error estimate: sensitivity of the accelerated value to dropping
         # the last two base terms.
-        accel_back = partial[:, n_base - 2 : n_base + m_binom - 1] @ weights
-        values = scale * accel
-        ref = np.maximum(np.abs(values), 1e-300)
-        est = np.abs(scale * (accel - accel_back)) / ref
-        return values, est
+        accel_back = partial[:, n_base - 2 : -2] @ self._weights
+        values = self._scale * accel
+        return values, np.abs(self._scale * (accel - accel_back))
 
-    return s, finish
+    def _talbot_sum(self, fvals):
+        r, x, m = self._r, self.x, fvals.shape[1]
+        s, f0 = self.nodes[:, 1:], fvals[:, 0]
+        inner = np.real(np.exp(s * x[:, None]) * fvals[:, 1:] * (1.0 + 1j * self._sigma[None, :]))
+        head = 0.5 * np.real(f0) * np.exp(r * x)
+        values = (r / m) * (head + inner.sum(axis=1))
+        # Error estimate: drop the last (most oscillatory) contour node pair.
+        return values, np.abs(values - (r / m) * (head + inner[:, :-1].sum(axis=1)))
 
+    def _finish(self, fvals):
+        finish = self._talbot_sum if self._talbot else self._euler_sum
+        values, err = finish(fvals.reshape(self.nodes.shape))
+        bad = ~np.isfinite(values)
+        if bad.any():
+            raise ConvergenceError(
+                f"inversion gave a non-finite value at x = {self.x[np.argmax(bad)]:.6g} "
+                f"({np.count_nonzero(bad)} of {self.x.size} abscissae)"
+            )
+        est = err / np.maximum(np.abs(values), 1e-300)
+        # The internal estimate is conservative by design; alarm only on a clear
+        # order-of-magnitude miss, and say where the worst one is.
+        missed = est > 10.0 * _PRECISION_TARGET
+        if missed.any():
+            i = int(np.argmax(est))
+            warnings.warn(
+                f"inversion error estimate {est[i]:.3g} exceeds target "
+                f"{_PRECISION_TARGET:.3g} at x = {self.x[i]:.3g} "
+                f"({np.count_nonzero(missed)} of {self.x.size} abscissae)",
+                ToleranceWarning,
+                stacklevel=4,
+            )
+        return values
 
-def _euler_invert(transform, x: np.ndarray, cfg: LaplaceInversionConfig):
-    """Euler-summation inversion; returns (values, relative error estimates)."""
-    s, finish = euler_contour(x, cfg)
-    fvals = transform(s.ravel()).reshape(s.shape)
-    return finish(fvals)
+    def invert(self, transform) -> np.ndarray:
+        """The inverse of ``transform`` (s -> M(-s) gives the density) at ``x``."""
+        return self._finish(transform(self._flat))
 
-
-def _talbot_invert(transform, x: np.ndarray, cfg: LaplaceInversionConfig):
-    """Fixed-Talbot inversion; returns (values, relative error estimates)."""
-    m = cfg.terms
-    theta = math.pi * np.arange(1, m) / m
-    cot = 1.0 / np.tan(theta)
-    r = 2.0 * m / (5.0 * x)
-    s = r[:, None] * theta[None, :] * (cot[None, :] + 1j)
-    sigma = theta + (theta * cot - 1.0) * cot
-    f0 = transform(r.astype(complex))
-    fvals = transform(s.ravel()).reshape(s.shape)
-    inner = np.real(np.exp(s * x[:, None]) * fvals * (1.0 + 1j * sigma[None, :]))
-    total = 0.5 * np.real(f0) * np.exp(r * x) + inner.sum(axis=1)
-    values = (r / m) * total
-    # Error estimate: drop the last (most oscillatory) contour node pair.
-    trimmed = (r / m) * (0.5 * np.real(f0) * np.exp(r * x) + inner[:, :-1].sum(axis=1))
-    ref = np.maximum(np.abs(values), 1e-300)
-    est = np.abs(values - trimmed) / ref
-    return values, est
-
-
-def _invert(transform, x, cfg: LaplaceInversionConfig):
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x_arr <= 0.0) or not np.all(np.isfinite(x_arr)):
-        raise ValueError("inversion abscissae must be finite and > 0")
-    engine = _euler_invert if cfg.method == "euler-summation" else _talbot_invert
-    values, est = engine(transform, x_arr, cfg)
-    bad = ~np.isfinite(values)
-    if bad.any():
-        raise ConvergenceError(
-            f"inversion gave a non-finite value at x = {x_arr[np.argmax(bad)]:.6g} "
-            f"({np.count_nonzero(bad)} of {x_arr.size} abscissae)"
-        )
-    # The internal estimate is conservative by design; alarm only on a clear
-    # order-of-magnitude miss, and say where the worst one is.
-    missed = est > 10.0 * _PRECISION_TARGET
-    if missed.any():
-        i = int(np.argmax(est))
-        warnings.warn(
-            f"inversion error estimate {est[i]:.3g} exceeds target "
-            f"{_PRECISION_TARGET:.3g} at x = {x_arr[i]:.3g} "
-            f"({np.count_nonzero(missed)} of {x_arr.size} abscissae)",
-            ToleranceWarning,
-            stacklevel=3,
-        )
-    return values
+    def cdf(self, transform) -> np.ndarray:
+        """The inverse of ``transform(s) / s``, the CDF, clipped to [0, 1];
+        the clamps are tallied in ``clamp_counts``."""
+        values = self._finish(transform(self._flat) / self._flat)
+        clamp_counts["cdf_below_zero"] += int(np.count_nonzero(values < 0.0))
+        clamp_counts["cdf_above_one"] += int(np.count_nonzero(values > 1.0))
+        return np.clip(values, 0.0, 1.0)
 
 
 def laplace_invert_density(transform, x, cfg: LaplaceInversionConfig | None = None):
@@ -189,8 +194,7 @@ def laplace_invert_density(transform, x, cfg: LaplaceInversionConfig | None = No
     negative excursions are clamped to zero and counted in
     ``clamp_counts['density_negative']``.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    values = _invert(transform, x, cfg)
+    values = Contour(x, cfg).invert(transform)
     neg = values < 0.0
     if neg.any():
         clamp_counts["density_negative"] += int(neg.sum())
@@ -203,20 +207,8 @@ def laplace_invert_cdf(transform, x, cfg: LaplaceInversionConfig | None = None):
 
     Results are clamped to [0, 1]; clamps are tallied in ``clamp_counts``.
     """
-    cfg = cfg or DEFAULT_CONFIG
-
-    def integrand(s):
-        return transform(s) / s
-
-    values = _clamp_cdf(_invert(integrand, x, cfg))
+    values = Contour(x, cfg).cdf(transform)
     return values if np.ndim(x) else float(values[0])
-
-
-def _clamp_cdf(values: np.ndarray) -> np.ndarray:
-    """Clip inverted CDF values to [0, 1], tallying clamps in ``clamp_counts``."""
-    clamp_counts["cdf_below_zero"] += int(np.count_nonzero(values < 0.0))
-    clamp_counts["cdf_above_one"] += int(np.count_nonzero(values > 1.0))
-    return np.clip(values, 0.0, 1.0)
 
 
 def phi2_multi_rate(b, c, rates, x, cfg: LaplaceInversionConfig | None = None):
@@ -229,7 +221,6 @@ def phi2_multi_rate(b, c, rates, x, cfg: LaplaceInversionConfig | None = None):
     non-positive rates (decaying mixtures), where the transform is analytic
     on Re(s) > 0.
     """
-    cfg = cfg or DEFAULT_CONFIG
     b_arr = np.asarray(b, dtype=float)
     rate_arr = np.asarray(rates, dtype=float)
     if b_arr.shape != rate_arr.shape:
@@ -243,7 +234,6 @@ def phi2_multi_rate(b, c, rates, x, cfg: LaplaceInversionConfig | None = None):
                 log_f = log_f - b_i * log1p_c(-lam / s)
         return np.exp(log_f)
 
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    values = _invert(transform, x_arr, cfg)
-    values = values * np.exp(math.lgamma(c) + (1.0 - c) * np.log(x_arr))
+    contour = Contour(x, cfg)
+    values = contour.invert(transform) * np.exp(math.lgamma(c) + (1.0 - c) * np.log(contour.x))
     return values if np.ndim(x) else float(values[0])

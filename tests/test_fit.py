@@ -170,6 +170,28 @@ def test_objective_scores_a_nan_model_value_as_rejected():
     assert _objective(lambda p: emp.F.copy(), emp, lambda theta: None)([0.0]) == 0.0
 
 
+def test_objective_scores_an_infinite_transform_value_as_rejected(monkeypatch):
+    # One +inf transform value on the contour makes the inversion non-finite;
+    # the objective must reject it, not clip it to 1 and score it.
+    import iftr.fitting
+
+    emp = make_emp()
+    evaluator = _CdfEvaluator(emp, LaplaceInversionConfig())
+    p = IftrParams(k=0.0, delta=0.0, m1=1, m2=1, mean_snr=1.0)
+    fun = _objective(evaluator, emp, lambda theta: p)
+    assert fun([0.0]) < 0.1
+    mgf = iftr.fitting.mgf
+
+    def poisoned(params, s):
+        values = mgf(params, s)
+        values[2] = np.inf  # row 0, node 2 (an even, added term)
+        return values
+
+    monkeypatch.setattr(iftr.fitting, "mgf", poisoned)
+    with np.errstate(invalid="ignore"):
+        assert fun([0.0]) == 1e6
+
+
 def test_rice_recovery_within_ten_percent():
     k_true = 5.0
     env = sample_iftr(family_params("rice", k=k_true), SimConfig(n_samples=10 ** 5, seed=77))

@@ -6,6 +6,7 @@ import pytest
 
 import iftr.laplace
 from iftr.laplace import (
+    Contour,
     LaplaceInversionConfig,
     ToleranceWarning,
     clamp_counts,
@@ -86,15 +87,40 @@ def test_determinism():
 
 
 def test_cdf_clamping_counters():
-    laplace_invert_cdf(PAIRS["exponential"][0], np.array([50.0, 80.0, 100.0]))
-    # Deep saturation wiggles over 1 get clamped and tallied.
-    assert clamp_counts["cdf_above_one"] >= 0  # counter exists and is consistent
+    # Deep saturation wiggles over 1 get clamped, and each clamp is tallied.
+    transform, x = PAIRS["exponential"][0], np.array([50.0, 80.0, 100.0])
+    raw = Contour(x).invert(lambda s: transform(s) / s)
+    before = clamp_counts["cdf_above_one"]
+    values = laplace_invert_cdf(transform, x)
+    assert clamp_counts["cdf_above_one"] - before == np.count_nonzero(raw > 1.0) > 0
+    np.testing.assert_array_equal(values, np.clip(raw, 0.0, 1.0))
 
 
 def test_tolerance_warning_fires():
     cfg = LaplaceInversionConfig(terms=16)
-    with pytest.warns(ToleranceWarning):
+    with pytest.warns(ToleranceWarning) as record:
         laplace_invert_density(PAIRS["erlang5"][0], np.array([0.1]), cfg)
+    with pytest.warns(ToleranceWarning) as record_cdf:
+        laplace_invert_cdf(lambda s: (1 + s) ** -40, [0.01, 50.0], cfg)
+    assert [w.filename for w in (*record, *record_cdf)] == [__file__, __file__]
+
+
+def test_one_contour_inverts_many_transforms():
+    # A held contour gives the bits of fresh calls and keeps its nodes.
+    x = np.array([0.3, 1.0, 4.0])
+    contour = Contour(x)
+    nodes = contour.nodes.copy()
+    for name in ("erlang2", "mixture"):
+        transform = PAIRS[name][0]
+        assert contour.cdf(transform).tobytes() == laplace_invert_cdf(transform, x).tobytes()
+    np.testing.assert_array_equal(contour.nodes, nodes)
+    assert not contour.nodes.flags.writeable
+
+
+def test_talbot_contour_puts_its_real_node_first():
+    contour = Contour([0.5, 2.0], TALBOT)
+    assert contour.nodes.shape == (2, TALBOT.terms)
+    np.testing.assert_array_equal(contour.nodes[:, 0], 2.0 * TALBOT.terms / (5.0 * np.array([0.5, 2.0])))
 
 
 def test_tolerance_warning_names_the_worst_abscissa():

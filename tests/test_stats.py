@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import i0
 
-from iftr.laplace import LaplaceInversionConfig
+from iftr.laplace import Contour, LaplaceInversionConfig
 from iftr.linkperf import ber_exact, ber_mgf_quadrature
 from iftr.params import IftrParams, ModulationSpec, ValidationError, family_params
 from iftr.specfun import ConvergenceError
@@ -311,6 +311,23 @@ def test_a_non_finite_inversion_raises_naming_the_abscissa():
         for f in (cdf, pdf):
             with pytest.raises(ConvergenceError, match=r"non-finite value at x = 0\.52746 \(1 of 2 "):
                 f(p, np.array([0.52746, 1e-3]))
+
+
+def test_a_cancelling_finite_sum_raises_naming_its_shape():
+    # At m1 = 250 the finite sum's terms cancel by up to 5.6e14 on the
+    # contour, where the closed-form route used to return 0.29662 silently.
+    p = IftrParams(k=300.0, delta=0.9, m1=250, m2=11, mean_snr=1.0)
+    x = np.array([0.5, 0.9, 1.5, 2.0, 2.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for f in (cdf, pdf):
+            with pytest.raises(ConvergenceError, match=r"m_int = 250 cancels: sum \|term\| / \|sum\| = 5\.57e\+14"):
+                f(p, x, method="closed-form")
+    node = Contour([0.5]).nodes[0, 10]
+    with pytest.raises(ConvergenceError, match="m_int = 250 cancels"):
+        mgf_integer_m1(p, -node)
+    # The inversion route inverts this point correctly.
+    np.testing.assert_allclose(cdf(p, x[:2]), [0.31065, 0.46939], atol=1e-5)
 
 
 def test_pdf_close_to_rician_shadowed_at_small_delta():
