@@ -123,7 +123,8 @@ class Contour:
             # Vertical contour Re(s) = shift / (2x); alternating series in k.
             s = (0.5 * _CONTOUR_SHIFT + 1j * math.pi * np.arange(m))[None, :] / x[:, None]
             self._weights = _binomial_weights(self._m_binom)
-            self._signs = np.where(np.arange(m) % 2, -1.0, 1.0)
+            self._signs = np.ones(m)
+            self._signs[1::2] = -1.0
             self._scale = np.exp(0.5 * _CONTOUR_SHIFT) / x
         s.flags.writeable = False
         self.nodes, self._flat = s, s.ravel()
@@ -150,8 +151,7 @@ class Contour:
         return values, np.abs(values - (r / m) * (head + inner[:, :-1].sum(axis=1)))
 
     def _finish(self, fvals):
-        finish = self._talbot_sum if self._talbot else self._euler_sum
-        values, err = finish(fvals.reshape(self.nodes.shape))
+        values, err = (self._talbot_sum if self._talbot else self._euler_sum)(fvals.reshape(self.nodes.shape))
         bad = ~np.isfinite(values)
         if bad.any():
             raise ConvergenceError(
